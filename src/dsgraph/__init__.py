@@ -14,18 +14,17 @@ from .constructors import (CayleySpec, ColoredGraph, CyclicProduct, MulTable,
                            cartesian_product, cayley_abelian, cayley_involutions,
                            complete_bipartite_pow2, element_order, hypercube,
                            remove_standard_matchings)
-from .errors import (AvoidanceInfeasible, CertificationFailed, ClaimDiscrepancyWarning,
-                     ColorOutOfRange, DegenerateTau, DsgraphError, HypothesisViolated,
-                     IncompleteColoring, InvalidBound, InvalidCayleySpec, InvalidInstance,
-                     InvalidK, NotTwoColored, OracleBudgetExceeded,
-                     PermutationBudgetExceeded, PermutationNotFound,
-                     PermutationSearchFailed, PreconditionViolated, ResourceLimit,
-                     SwapPlanStuck)
+from .errors import (CertificationFailed, ClaimDiscrepancyWarning, ColorOutOfRange,
+                     DegenerateTau, DsgraphError, HypothesisViolated, IncompleteColoring,
+                     InvalidBound, InvalidCayleySpec, InvalidInstance, InvalidK,
+                     NotTwoColored, OracleBudgetExceeded, PermutationBudgetExceeded,
+                     PermutationNotFound, PermutationSearchFailed, PreconditionViolated,
+                     ResourceLimit, SwapPlanStuck)
 from .graph_core import (EdgeColoring, FourCycle, Graph, Matching, UNREACHABLE,
-                         VertexColorSet, color_table, compute_s, edge_distance,
-                         is_distance_t_matching, is_proper, standard_matchings,
-                         swap_cycle, t_neighborhood, two_colored_cycles_through,
-                         vertex_color_set)
+                         VertexColorSet, apply_swaps, color_table, compute_s,
+                         edge_distance, is_distance_t_matching, is_proper,
+                         properness_witness, standard_matchings, swap_cycle,
+                         t_neighborhood, two_colored_cycles_through, vertex_color_set)
 from .instance_io import (Instance, from_colored_graph, load_instance, save_instance,
                           to_colored_graph)
 from .list_assignments import (EMPTY, ListAssignment, SparsityReport, Violation,
@@ -35,7 +34,7 @@ from .oracle import OracleResult, oracle_avoidable, oracle_cycle_census
 from .solver import (Exhaustive, FailureReport, Permutation, PermutationCheck,
                      RandomSearch, SelectionRecord, SolveResult, SolverParams, SwapPlan,
                      allowed_cycles, apply_permutation, check_permutation,
-                     construct_swap_plan, find_permutation, solve_distance2,
-                     solve_sparse, verify_solution)
+                     construct_swap_plan, find_permutation, find_violation,
+                     solve_distance2, solve_sparse, swap_blockers, verify_solution)
 
 __version__ = "0.1.0"

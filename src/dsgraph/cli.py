@@ -24,11 +24,11 @@ from .constructors import (CayleySpec, CyclicProduct, cartesian_product, cayley_
 from .errors import DsgraphError, OracleBudgetExceeded
 from .instance_io import (from_colored_graph, load_instance, save_instance,
                           to_colored_graph)
-from .list_assignments import (EMPTY, conflict_edges, generate_distance2,
-                               generate_sparse, support_is_distance2_matching)
+from .list_assignments import (EMPTY, generate_distance2, generate_sparse,
+                               support_is_distance2_matching)
 from .oracle import oracle_avoidable, oracle_cycle_census
-from .solver import (Exhaustive, RandomSearch, SolverParams, solve_distance2,
-                     solve_sparse, verify_solution)
+from .solver import (Exhaustive, RandomSearch, SolverParams, find_violation,
+                     solve_distance2, solve_sparse, verify_solution)
 
 FAMILIES = ("hypercube", "complete_bipartite_pow2", "remove_standard_matchings",
             "cartesian_product", "cayley_involutions", "cayley_abelian")
@@ -224,26 +224,18 @@ def cmd_verify(args) -> int:
     inst = load_instance(args.file)
     if inst.solution is None:
         raise ValueError("verify needs a 'solution' block in the instance file")
-    g = inst.graph
-    f = inst.solution
-    seen: list[dict] = [{} for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges):
-        c = f[e]
-        for w in (u, v):
-            if c in seen[w]:
-                print(f"improper: edges {seen[w][c]} and {e} share color {c} "
-                      f"at vertex {w}")
-                return 1
-            seen[w][c] = e
-    lists = inst.lists if inst.lists is not None else EMPTY
-    conflicts = conflict_edges(g, f, lists)
-    if conflicts:
-        e = min(conflicts)
-        u, v = g.edges[e]
-        print(f"conflict: edge {e} ({u},{v}) has forbidden color {f[e]}")
-        return 1
-    print("verified: proper and avoids every list")
-    return 0
+    g, f = inst.graph, inst.solution
+    violation = find_violation(g, f, inst.lists if inst.lists is not None else EMPTY)
+    if violation is None:
+        print("verified: proper and avoids every list")
+        return 0
+    if isinstance(violation, int):
+        u, v = g.edges[violation]
+        print(f"conflict: edge {violation} ({u},{v}) has forbidden color {f[violation]}")
+    else:
+        first, e, c, w = violation
+        print(f"improper: edges {first} and {e} share color {c} at vertex {w}")
+    return 1
 
 
 def cmd_oracle(args) -> int:

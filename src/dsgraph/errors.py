@@ -68,7 +68,7 @@ class PermutationNotFound(PermutationSearchFailed):
 
     def __init__(self, tried: int):
         super().__init__(f"no valid color permutation exists ({tried} tried exhaustively)")
-        self.tried = tried
+        self.tried = self.trials = tried
 
 
 class PermutationBudgetExceeded(PermutationSearchFailed):
@@ -94,10 +94,6 @@ class SwapPlanStuck(DsgraphError):
 
 class PreconditionViolated(DsgraphError):
     """A solver was invoked on input outside its stated precondition."""
-
-
-class AvoidanceInfeasible(DsgraphError):
-    """Backtracking exhausted every disjoint-cycle choice (unexpected)."""
 
 
 class InvalidInstance(DsgraphError):

@@ -163,7 +163,7 @@ class FourCycle:
     """Two-colored 4-cycle u-v-z-t-u.
 
     color_a sits on uv and on the partner edge zt; color_b on vz and tu.
-    The recorded colors are those seen at enumeration time; ``swap_cycle``
+    The recorded colors are those seen at enumeration time; ``apply_swaps``
     revalidates against the coloring it is given.
     """
 
@@ -225,20 +225,25 @@ def t_neighborhood(g: Graph, e: int, t: int) -> frozenset[int]:
     return out
 
 
+def properness_witness(g: Graph,
+                       f: EdgeColoring) -> tuple[int, int, int, int] | None:
+    """First repeated color at a vertex, as (earlier edge, edge, color, vertex)."""
+    seen: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for e, ((u, v), c) in enumerate(zip(g.edges, f.colors)):
+        for w in (u, v):
+            first = seen[w].setdefault(c, e)
+            if first != e:
+                return first, e, c, w
+    return None
+
+
 def is_proper(g: Graph, f: EdgeColoring) -> bool:
     """True iff no vertex sees a color twice. Raises on partial colorings."""
     if len(f) != g.m:
         raise ValueError("coloring length does not match edge count")
     if not f.is_total:
         raise IncompleteColoring("coloring leaves some edge uncolored")
-    for v in range(g.n):
-        seen = set()
-        for e in g.adjacency[v]:
-            c = f[e]
-            if c in seen:
-                return False
-            seen.add(c)
-    return True
+    return properness_witness(g, f) is None
 
 
 def color_table(g: Graph, f: EdgeColoring) -> list[dict[int, int]]:
@@ -320,24 +325,27 @@ def is_distance_t_matching(g: Graph, edge_set, t: int) -> bool:
     return True
 
 
-def swap_cycle(f: EdgeColoring, c: FourCycle) -> EdgeColoring:
-    """Exchange the two colors along a two-colored 4-cycle.
+def apply_swaps(f: EdgeColoring, cycles) -> EdgeColoring:
+    """Exchange the two colors along each two-colored 4-cycle in turn, copying once.
 
-    Validates alternation against the coloring actually passed in, so a cycle
-    object may be replayed after its own swap (double-swap is the identity).
+    Each cycle is validated against the colors the earlier swaps left, so a
+    cycle may be replayed after its own swap (double-swap is the identity).
     Preserves properness and every vertex's color set.
     """
-    ca = f[c.e_uv]
-    cb = f[c.e_vz]
-    if ca == cb or f[c.e_zt] != ca or f[c.e_tu] != cb:
-        raise NotTwoColored(
-            f"cycle {c.vertices} is not two-colored under this coloring")
     colors = list(f.colors)
-    colors[c.e_uv] = cb
-    colors[c.e_zt] = cb
-    colors[c.e_vz] = ca
-    colors[c.e_tu] = ca
+    for c in cycles:
+        ca, cb = colors[c.e_uv], colors[c.e_vz]
+        if ca == cb or colors[c.e_zt] != ca or colors[c.e_tu] != cb:
+            raise NotTwoColored(
+                f"cycle {c.vertices} is not two-colored under this coloring")
+        colors[c.e_uv] = colors[c.e_zt] = cb
+        colors[c.e_vz] = colors[c.e_tu] = ca
     return EdgeColoring(tuple(colors), f.d)
+
+
+def swap_cycle(f: EdgeColoring, c: FourCycle) -> EdgeColoring:
+    """Exchange the two colors along one two-colored 4-cycle; see ``apply_swaps``."""
+    return apply_swaps(f, (c,))
 
 
 def vertex_color_set(g: Graph, f: EdgeColoring, u: int) -> VertexColorSet:

@@ -11,28 +11,31 @@ vertices or matchings (at least epsilon*s used edges) or edges that are
 conflicts or already used. The chosen cycles are pairwise edge-disjoint, so
 swapping them all yields a proper coloring with no conflicts.
 
-A cycle is "allowed" when swapping it leaves all four of its edges outside
-their forbidden lists. Swaps preserve properness and each vertex's color set.
+A cycle is "allowed" when ``swap_blockers`` shows that swapping it leaves all
+four edges outside their lists. Swaps preserve properness and each vertex's color set.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructors import ColoredGraph
 from .errors import (ColorOutOfRange, PermutationBudgetExceeded, PermutationNotFound,
-                     PreconditionViolated, ResourceLimit, SwapPlanStuck)
-from .graph_core import (EdgeColoring, FourCycle, Graph, color_table, is_proper,
-                         swap_cycle, t_neighborhood, two_colored_cycles_through)
+                     PermutationSearchFailed, PreconditionViolated, ResourceLimit,
+                     SwapPlanStuck)
+# is_proper and swap_cycle are unused here but wrapped by perfbench/tracing.py.
+from .graph_core import (EdgeColoring, FourCycle, Graph, apply_swaps, color_table,
+                         is_proper, properness_witness, swap_cycle, t_neighborhood,
+                         two_colored_cycles_through)
 from .list_assignments import (ListAssignment, as_fraction, conflict_edges,
                                support_is_distance2_matching)
 
 EXHAUSTIVE_D_CAP = 8
+_NO_COLORS = frozenset()
 
 
 @dataclass(frozen=True)
@@ -151,8 +154,9 @@ class _Checker:
         self.supp = sorted(self.lists)
         self.h_colors = h.colors
         table = color_table(g, h)
-        supp_set = set(self.supp)
-        # (edge, [(a_h, b_h, L(uv), L(vz), L(zt), L(tu))]) for cycles touching a list
+        # (edge, [(a_h - 1, b_h - 1, blocks_a, blocks_b)]) for cycles a list can block;
+        # equal blocker sets are stored once, as rows can number m*d
+        shared: dict[frozenset, frozenset] = {}
         self.sensitive: list[tuple[int, list]] = []
         self.totals = [0] * g.m
         insensitive_min = None
@@ -161,10 +165,10 @@ class _Checker:
             self.totals[e] = len(cycles)
             rows = []
             for cyc in cycles:
-                if supp_set & cyc.edge_set:
-                    rows.append((cyc.color_a, cyc.color_b,
-                                 self.lists.get(cyc.e_uv), self.lists.get(cyc.e_vz),
-                                 self.lists.get(cyc.e_zt), self.lists.get(cyc.e_tu)))
+                ba, bb = swap_blockers(L, cyc)
+                if ba or bb:
+                    rows.append((cyc.color_a - 1, cyc.color_b - 1,
+                                 shared.setdefault(ba, ba), shared.setdefault(bb, bb)))
             if rows:
                 self.sensitive.append((e, rows))
             elif insensitive_min is None or len(cycles) < insensitive_min[1]:
@@ -173,6 +177,9 @@ class _Checker:
         _, containing, reps = g.neighborhood_dedup(6)
         self.containing = containing
         self.anchor_reps = reps
+
+    def accepts(self, rho: Permutation) -> bool:
+        return self.check(rho, collect=False).ok
 
     def conflicts(self, rho: Permutation) -> list[int]:
         return [e for e in self.supp if rho(self.h_colors[e]) in self.lists[e]]
@@ -217,19 +224,13 @@ class _Checker:
         ok_a = not wa
         if collect or (ok_a and ok_b):
             limit_literal = (1 - p.tau) * p.s
+            images = rho.images
             for e, rows in self.sensitive:
                 bad = 0
-                for a_h, b_h, luv, lvz, lzt, ltu in rows:
-                    pa, pb = rho(a_h), rho(b_h)
-                    if ((luv and pb in luv) or (lzt and pb in lzt)
-                            or (lvz and pa in lvz) or (ltu and pa in ltu)):
+                for ia, ib, blocks_a, blocks_b in rows:
+                    if images[ia] in blocks_a or images[ib] in blocks_b:
                         bad += 1
-                if self.literal_c:
-                    if self.totals[e] - bad < limit_literal:
-                        wc.append((e, bad))
-                        if not collect:
-                            break
-                elif bad > ts:
+                if (self.totals[e] - bad < limit_literal) if self.literal_c else bad > ts:
                     wc.append((e, bad))
                     if not collect:
                         break
@@ -258,6 +259,18 @@ class RandomSearch:
 
     trials: int
     seed: int = 0
+    exhausted = PermutationBudgetExceeded
+
+    def candidates(self, d: int):
+        """The identity, then one list shuffled in place again for each later trial."""
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        rng = random.Random(self.seed)
+        base = list(range(1, d + 1))
+        yield tuple(base)
+        for _ in range(self.trials - 1):
+            rng.shuffle(base)
+            yield tuple(base)
 
 
 @dataclass(frozen=True)
@@ -265,36 +278,26 @@ class Exhaustive:
     """Lexicographic scan of all d! permutations; capped to small d."""
 
     cap: int = EXHAUSTIVE_D_CAP
+    exhausted = PermutationNotFound
+
+    def candidates(self, d: int):
+        if d > self.cap:
+            raise ResourceLimit(f"exhaustive search needs d <= {self.cap}, got {d}")
+        yield from itertools.permutations(range(1, d + 1))
 
 
 def _search_permutation(accept, d: int, strategy) -> tuple[Permutation, int]:
-    """First permutation that ``accept`` takes, with its 1-based trial count."""
-    if isinstance(strategy, Exhaustive):
-        if d > strategy.cap:
-            raise ResourceLimit(f"exhaustive search needs d <= {strategy.cap}, got {d}")
-        count = 0
-        for images in itertools.permutations(range(1, d + 1)):
-            count += 1
-            rho = Permutation(images)
-            if accept(rho):
-                return rho, count
-        raise PermutationNotFound(count)
-    if isinstance(strategy, RandomSearch):
-        if strategy.trials < 1:
-            raise ValueError("trials must be >= 1")
-        rng = random.Random(strategy.seed)
-        base = list(range(1, d + 1))
-        for trial in range(1, strategy.trials + 1):
-            if trial == 1:
-                images = tuple(base)
-            else:
-                rng.shuffle(base)
-                images = tuple(base)
-            rho = Permutation(images)
-            if accept(rho):
-                return rho, trial
-        raise PermutationBudgetExceeded(strategy.trials)
-    raise TypeError(f"unknown search strategy {strategy!r}")
+    """First permutation that ``accept`` takes, with its 1-based trial count.
+
+    Raises the strategy's own ``exhausted`` error when no candidate is taken.
+    """
+    count = 0
+    for images in strategy.candidates(d):
+        count += 1
+        rho = Permutation(images)
+        if accept(rho):
+            return rho, count
+    raise strategy.exhausted(count)
 
 
 def find_permutation(cg: ColoredGraph, L: ListAssignment, params: SolverParams,
@@ -304,23 +307,27 @@ def find_permutation(cg: ColoredGraph, L: ListAssignment, params: SolverParams,
     Raises PermutationNotFound when an exhaustive scan proves none exists and
     PermutationBudgetExceeded when random trials run out (which proves nothing).
     """
-    checker = _Checker(cg, L, params, literal_c)
-    rho, _ = _search_permutation(lambda r: checker.check(r, collect=False).ok, cg.d,
-                                 strategy)
+    rho, _ = _search_permutation(_Checker(cg, L, params, literal_c).accepts, cg.d, strategy)
     return rho
+
+
+def swap_blockers(L: ListAssignment, cyc: FourCycle) -> tuple[frozenset, frozenset]:
+    """(blocks_a, blocks_b): the swap moves the a-color onto vz and tu, whose lists
+    block it, and the b-color onto uv and zt, whose lists block it."""
+    a1, a2 = L.lists.get(cyc.e_vz, _NO_COLORS), L.lists.get(cyc.e_tu, _NO_COLORS)
+    b1, b2 = L.lists.get(cyc.e_uv, _NO_COLORS), L.lists.get(cyc.e_zt, _NO_COLORS)
+    # pass a list through when its partner is empty: no new set for most cycles
+    return (a1 | a2 if a1 and a2 else a1 or a2, b1 | b2 if b1 and b2 else b1 or b2)
 
 
 def allowed_cycles(cg: ColoredGraph, f: EdgeColoring, L: ListAssignment, e: int,
                    table=None) -> tuple[FourCycle, ...]:
     """Cycles through e whose swap leaves all four edges conflict-free."""
-    g = cg.graph
     out = []
-    for cyc in two_colored_cycles_through(g, f, e, table):
-        pa, pb = f[cyc.e_uv], f[cyc.e_vz]
-        if (pb in L.get(cyc.e_uv) or pb in L.get(cyc.e_zt)
-                or pa in L.get(cyc.e_vz) or pa in L.get(cyc.e_tu)):
-            continue
-        out.append(cyc)
+    for cyc in two_colored_cycles_through(cg.graph, f, e, table):
+        blocks_a, blocks_b = swap_blockers(L, cyc)
+        if f[cyc.e_uv] not in blocks_a and f[cyc.e_vz] not in blocks_b:
+            out.append(cyc)
     return tuple(out)
 
 
@@ -411,9 +418,7 @@ def construct_swap_plan(cg: ColoredGraph, hprime: EdgeColoring, L: ListAssignmen
             a, b = g.edges[f]
             vertex_used[a] += 1
             vertex_used[b] += 1
-    result = hprime
-    for cyc in cycles:
-        result = swap_cycle(result, cyc)
+    result = apply_swaps(hprime, cycles)
     remaining = conflict_edges(g, result, L)
     if remaining:
         raise SwapPlanStuck(min(remaining), {"post_swap_conflicts": len(remaining)})
@@ -444,17 +449,30 @@ class SolveResult:
         return self.failure is None and self.coloring is not None
 
 
+def find_violation(g: Graph, f: EdgeColoring,
+                   L: ListAssignment) -> tuple[int, int, int, int] | int | None:
+    """The ``properness_witness`` of f, else its least conflict edge, else None.
+
+    Does not check that f is total or has g.m colors.
+    """
+    return properness_witness(g, f) or min(conflict_edges(g, f, L), default=None)
+
+
 def verify_solution(cg: ColoredGraph, f: EdgeColoring, L: ListAssignment) -> bool:
     """True when f is a total proper d-edge-coloring avoiding every list."""
     g = cg.graph
     if len(f) != g.m or f.d != cg.d or not f.is_total:
         return False
-    try:
-        if not is_proper(g, f):
-            return False
-    except Exception:
-        return False
-    return not conflict_edges(g, f, L)
+    return find_violation(g, f, L) is None
+
+
+def _verified(cg: ColoredGraph, L: ListAssignment, final: EdgeColoring,
+              rho: Permutation, plan: SwapPlan, trials: int) -> SolveResult:
+    """The solved result, or the verify failure when final does not check out."""
+    if not verify_solution(cg, final, L):
+        return SolveResult(None, rho, plan, trials, FailureReport(
+            "verify", "swapped coloring failed verification"))
+    return SolveResult(final, rho, plan, trials)
 
 
 def solve_sparse(cg: ColoredGraph, L: ListAssignment, params: SolverParams | None = None,
@@ -469,14 +487,10 @@ def solve_sparse(cg: ColoredGraph, L: ListAssignment, params: SolverParams | Non
         params = default_params(cg.d, cg.s_measured)
     if strategy is None:
         strategy = RandomSearch(trials=200, seed=0)
-    checker = _Checker(cg, L, params, literal_c)
     try:
-        rho, trials = _search_permutation(lambda r: checker.check(r, collect=False).ok,
+        rho, trials = _search_permutation(_Checker(cg, L, params, literal_c).accepts,
                                           cg.d, strategy)
-    except PermutationNotFound as exc:
-        return SolveResult(None, None, None, exc.tried, FailureReport(
-            "permutation", str(exc), trials=exc.tried))
-    except PermutationBudgetExceeded as exc:
+    except PermutationSearchFailed as exc:
         return SolveResult(None, None, None, exc.trials, FailureReport(
             "permutation", str(exc), trials=exc.trials))
     hprime = apply_permutation(cg.coloring, rho)
@@ -485,10 +499,7 @@ def solve_sparse(cg: ColoredGraph, L: ListAssignment, params: SolverParams | Non
     except SwapPlanStuck as exc:
         return SolveResult(None, rho, None, trials, FailureReport(
             "swap", str(exc), stuck_edge=exc.edge, eliminated=exc.eliminated))
-    if not verify_solution(cg, final, L):
-        return SolveResult(None, rho, plan, trials, FailureReport(
-            "verify", "swapped coloring failed verification"))
-    return SolveResult(final, rho, plan, trials)
+    return _verified(cg, L, final, rho, plan, trials)
 
 
 def _disjoint_cycle_system(cg: ColoredGraph, f: EdgeColoring,
@@ -557,17 +568,9 @@ def solve_distance2(cg: ColoredGraph, L: ListAssignment) -> SolveResult:
     try:
         rho, trials = _search_permutation(accept, cg.d, RandomSearch(trials=200, seed=0))
     except PermutationBudgetExceeded as exc:
-        warnings.warn("distance-2 backtracking exhausted every cycle choice under "
-                      f"{exc.trials} color permutations; this input may contradict "
-                      "the avoidability guarantee")
         return SolveResult(None, None, None, exc.trials, FailureReport(
             "swap-search", "no edge-disjoint system of allowed cycles found",
             trials=exc.trials))
-    final, chosen = found[0]
-    for cyc in chosen:
-        final = swap_cycle(final, cyc)
+    hprime, chosen = found[0]
     plan = SwapPlan(tuple(chosen), frozenset(e for c in chosen for e in c.edge_ids), ())
-    if not verify_solution(cg, final, L):
-        return SolveResult(None, rho, plan, trials, FailureReport(
-            "verify", "swapped coloring failed verification"))
-    return SolveResult(final, rho, plan, trials)
+    return _verified(cg, L, apply_swaps(hprime, chosen), rho, plan, trials)

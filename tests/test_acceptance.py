@@ -12,7 +12,6 @@ read-only regression inputs for tests/test_solver.py.
 
 import random
 import time
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -158,9 +157,7 @@ def test_criterion_3_distance2_end_to_end(tmp_path):
             ok = 0
             for seed in range(100):
                 L = dg.generate_distance2(cg, seed, cg.s - 1)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    res = dg.solve_distance2(cg, L)
+                res = dg.solve_distance2(cg, L)
                 if res.ok and dg.verify_solution(cg, res.coloring, L):
                     ok += 1
                 else:

@@ -121,6 +121,23 @@ def test_verify_names_the_conflict(tmp_path, capsys):
     assert "forbidden color" in out
 
 
+def test_verify_names_the_improper_vertex(tmp_path, capsys):
+    f = str(tmp_path / "q3.json")
+    run(capsys, "construct", "--family", "hypercube", "--d", "3", "--out", f)
+    data = json.loads(open(f).read())
+    q3 = dg.hypercube(3)
+    g, h = q3.graph, q3.coloring
+    solution = list(h.colors)
+    # edges (0,1) and (0,2) meet at vertex 0; give the second the first's color
+    e01, e02 = g.edges.index((0, 1)), g.edges.index((0, 2))
+    solution[e02] = h[e01]
+    data["solution"] = solution
+    open(f, "w").write(json.dumps(data))
+    code, out, _ = run(capsys, "verify", f)
+    assert code == 1
+    assert out == f"improper: edges {e01} and {e02} share color {h[e01]} at vertex 0\n"
+
+
 def test_verify_requires_solution(tmp_path, capsys):
     # a file without a solution block is a usage error, not a failed check
     f = str(tmp_path / "q3.json")

@@ -1,6 +1,7 @@
 """Core graph machinery: distances, neighborhoods, cycles, swaps."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -97,9 +98,16 @@ def test_is_proper_and_is_total(q3):
     # edges (0,1) and (0,2) share vertex 0
     broken[g.edges.index((0, 2))] = broken[g.edges.index((0, 1))]
     assert not dg.is_proper(g, dg.EdgeColoring(tuple(broken), h.d))
+    assert dg.properness_witness(g, h) is None
+    assert dg.properness_witness(g, dg.EdgeColoring(tuple(broken), h.d)) == (
+        g.edges.index((0, 1)), g.edges.index((0, 2)), h[g.edges.index((0, 1))], 0)
     partial = list(h.colors)
     partial[0] = 0
     assert not dg.EdgeColoring(tuple(partial), h.d).is_total
+    with pytest.raises(dg.IncompleteColoring):
+        dg.is_proper(g, dg.EdgeColoring(tuple(partial), h.d))
+    with pytest.raises(ValueError):
+        dg.is_proper(g, dg.EdgeColoring(h.colors[:-1], h.d))
 
 
 def test_cycle_counts_per_edge(q3, k44):
@@ -225,6 +233,42 @@ def test_swap_cycle_rejects_non_two_colored(q3):
     assert recolored[c.e_vz] != h[c.e_vz]
     with pytest.raises(dg.NotTwoColored):
         dg.swap_cycle(recolored, c)
+
+
+def _swap_by_hand(colors, c):
+    """Reference swap: None when c does not alternate two colors under colors."""
+    a, b = colors[c.e_uv], colors[c.e_vz]
+    if a == b or (colors[c.e_zt], colors[c.e_tu]) != (a, b):
+        return None
+    out = list(colors)
+    for e in c.edge_ids:
+        out[e] = a + b - out[e]
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=12))
+def test_apply_swaps_matches_swapping_one_cycle_at_a_time(picks):
+    # cycles come from h, so after earlier swaps some overlap or no longer
+    # alternate; repeated picks replay a cycle
+    cg = dg.hypercube(4)
+    g, h = cg.graph, cg.coloring
+    pool = [c for e in range(g.m) for c in dg.two_colored_cycles_through(g, h, e)]
+    cycles = [pool[i % len(pool)] for i in picks]
+    colors = list(h.colors)
+    for k, c in enumerate(cycles):
+        swapped = _swap_by_hand(colors, c)
+        if swapped is None:
+            assert dg.apply_swaps(h, cycles[:k]).colors == tuple(colors)
+            with pytest.raises(dg.NotTwoColored, match=re.escape(str(c.vertices))):
+                dg.apply_swaps(h, cycles[:k + 1])
+            with pytest.raises(dg.NotTwoColored):
+                dg.apply_swaps(h, cycles)
+            return
+        colors = swapped
+    f = dg.apply_swaps(h, cycles)
+    assert f == dg.EdgeColoring(tuple(colors), h.d)
+    assert dg.is_proper(g, f)
 
 
 def test_disjointness_predicates(q3):

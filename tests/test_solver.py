@@ -1,6 +1,6 @@
 """Two-phase avoidance solver: permutation search, swap plans, verification."""
 
-import warnings
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -260,6 +260,41 @@ def test_verify_solution_cases(q3):
     improper = list(h.colors)
     improper[g.edges.index((0, 2))] = h[g.edges.index((0, 1))]
     assert not dg.verify_solution(q3, dg.EdgeColoring(tuple(improper), 3), dg.EMPTY)
+    # find_violation: the properness witness first, then the least conflict edge
+    assert dg.find_violation(g, h, dg.EMPTY) is None
+    lists = dg.ListAssignment.from_dict({3: [h[3]], 5: [h[5]], 6: [h[6] % 3 + 1]})
+    assert dg.find_violation(g, h, lists) == 3
+    assert dg.find_violation(g, dg.EdgeColoring(tuple(improper), 3), lists) == (
+        g.edges.index((0, 1)), g.edges.index((0, 2)), h[g.edges.index((0, 1))], 0)
+
+
+@pytest.mark.parametrize("name", ["q3", "q4", "k44", "q2xk44"])
+def test_condition_c_counts_match_allowed_cycles(name):
+    # the checker's precomputed swap_blockers rows and allowed_cycles against
+    # swapping each cycle and looking up its four edges; tau = 0 makes every
+    # disallowed cycle a witness
+    cg = {"q3": lambda: dg.hypercube(3), "q4": lambda: dg.hypercube(4),
+          "k44": lambda: dg.complete_bipartite_pow2(2),
+          "q2xk44": lambda: dg.cartesian_product(dg.hypercube(2),
+                                                 dg.complete_bipartite_pow2(2))}[name]()
+    g, s = cg.graph, cg.s_measured
+    L = dg.generate_sparse(cg, Fraction(1, s), seed=3)
+    assert L.total_entries() > 0
+    p = dg.SolverParams(cg.d, s, Fraction(1, 2), Fraction(0), Fraction(1, 2))
+    rng = random.Random(name)
+    for _ in range(6):
+        images = list(range(1, cg.d + 1))
+        rng.shuffle(images)
+        rho = dg.Permutation(tuple(images))
+        f = dg.apply_permutation(cg.coloring, rho)
+        counts = dict(dg.check_permutation(cg, L, rho, p).witnesses_c)
+        table = dg.color_table(g, f)
+        for e in range(g.m):
+            cycles = dg.two_colored_cycles_through(g, f, e, table)
+            clean = tuple(c for c in cycles
+                          if all(dg.swap_cycle(f, c)[x] not in L.get(x) for x in c.edge_ids))
+            assert dg.allowed_cycles(cg, f, L, e, table) == clean, (name, rho, e)
+            assert counts.get(e, 0) == len(cycles) - len(clean), (name, rho, e)
 
 
 @settings(deadline=None, max_examples=20)
@@ -283,9 +318,7 @@ def test_solve_sparse_never_returns_unverified_success(seed):
 def test_solve_distance2_success_or_archived_shape(seed):
     q4 = dg.hypercube(4)
     L = dg.generate_distance2(q4, seed, 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = dg.solve_distance2(q4, L)
+    res = dg.solve_distance2(q4, L)
     if res.ok:
         assert dg.verify_solution(q4, res.coloring, L)
     else:

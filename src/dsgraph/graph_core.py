@@ -5,6 +5,16 @@ edge's index in that order is its identity everywhere in the package. All
 distances between edges count edges on a shortest path between endpoints, so
 adjacent (or identical) edges are at distance 0.
 
+Every bounded-distance question goes through one kernel, the per-vertex edge
+ball. E_0(w) is the bitmask of the edges incident to w, and
+E_t(w) = E_{t-1}(w) | OR over neighbours x of E_{t-1}(x), so E_t(w) holds the
+edges with an endpoint within distance t of w. An edge uv then has the
+t-neighborhood W_t(uv) = E_t(u) | E_t(v), exactly, disconnected graphs
+included. ``Graph.edge_balls`` caches the balls for each radius a caller asks
+for (n*m/8 bytes each), and ``Graph.nbhd_mask`` returns W_t(e); the bits of
+that mask serve ``t_neighborhood``, ``Graph.neighborhood_dedup``,
+``is_distance_t_matching`` and the distance-2 list generator.
+
 A proper coloring makes 4-cycle enumeration cheap: for an edge uv of color a
 and any other color c there is at most one c-colored edge at v (to some z) and
 at most one at u (to some t), and uvzt is a two-colored 4-cycle exactly when
@@ -24,7 +34,7 @@ UNREACHABLE = math.inf
 
 
 class Graph:
-    """Simple undirected graph with canonical edge order and cached BFS layers."""
+    """Simple undirected graph with canonical edge order and cached edge balls."""
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         self.n = n
@@ -38,8 +48,7 @@ class Graph:
             index[(u, v)] = i
         self.adjacency = tuple(tuple(a) for a in adjacency)
         self.edge_index = index
-        self._dist_cache: dict[int, tuple[float, ...]] = {}
-        self._nbhd_cache: dict[tuple[int, int], frozenset[int]] = {}
+        self._balls: dict[int, tuple[int, ...]] = {}
         self._unique_nbhd_cache: dict[int, tuple[tuple[frozenset[int], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
 
     @classmethod
@@ -69,9 +78,6 @@ class Graph:
 
     def vertex_distances_from_edge(self, e: int) -> tuple[float, ...]:
         """BFS layers from both endpoints of e at once (distance 0 for each)."""
-        cached = self._dist_cache.get(e)
-        if cached is not None:
-            return cached
         u, v = self.edges[e]
         dist: list[float] = [UNREACHABLE] * self.n
         dist[u] = dist[v] = 0
@@ -84,9 +90,41 @@ class Graph:
                 if nd < dist[x]:
                     dist[x] = nd
                     queue.append(x)
-        out = tuple(dist)
-        self._dist_cache[e] = out
+        return tuple(dist)
+
+    def edge_balls(self, t: int) -> tuple[int, ...]:
+        """Per vertex w, the bitmask E_t(w) of edges with an endpoint within distance t of w.
+
+        Cached per requested radius only. The growth stops early once no
+        ball grows, so a radius beyond the diameter costs no more than the
+        diameter itself.
+        """
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        cached = self._balls.get(t)
+        if cached is not None:
+            return cached
+        balls = [sum(1 << e for e in adj) for adj in self.adjacency]
+        neighbours = [[self.other_endpoint(e, w) for e in adj]
+                      for w, adj in enumerate(self.adjacency)]
+        for _ in range(t):
+            grown = []
+            for ball, nbrs in zip(balls, neighbours):
+                for x in nbrs:
+                    ball |= balls[x]
+                grown.append(ball)
+            if grown == balls:
+                break
+            balls = grown
+        out = tuple(balls)
+        self._balls[t] = out
         return out
+
+    def nbhd_mask(self, e: int, t: int) -> int:
+        """W_t(e) as a bitmask: the edges at distance <= t from e."""
+        balls = self.edge_balls(t)
+        u, v = self.edges[e]
+        return balls[u] | balls[v]
 
     def neighborhood_dedup(self, t: int):
         """Unique t-neighborhood edge sets, a representative anchor for each,
@@ -98,22 +136,17 @@ class Graph:
         cached = self._unique_nbhd_cache.get(t)
         if cached is not None:
             return cached
-        sets: list[frozenset[int]] = []
-        reps: list[int] = []
-        seen: dict[frozenset[int], int] = {}
-        containing: list[list[int]] = [[] for _ in range(self.m)]
+        reps: dict[int, int] = {}
         for e in range(self.m):
-            w = t_neighborhood(self, e, t)
-            uid = seen.get(w)
-            if uid is None:
-                uid = len(sets)
-                seen[w] = uid
-                sets.append(w)
-                reps.append(e)
-        for uid, w in enumerate(sets):
-            for f in w:
+            reps.setdefault(self.nbhd_mask(e, t), e)
+        sets: list[frozenset[int]] = []
+        containing: list[list[int]] = [[] for _ in range(self.m)]
+        for uid, mask in enumerate(reps):
+            members = _bits(mask)
+            sets.append(frozenset(members))
+            for f in members:
                 containing[f].append(uid)
-        out = (tuple(sets), tuple(tuple(c) for c in containing), tuple(reps))
+        out = (tuple(sets), tuple(tuple(c) for c in containing), tuple(reps.values()))
         self._unique_nbhd_cache[t] = out
         return out
 
@@ -197,6 +230,11 @@ class VertexColorSet:
     colors: frozenset[int]
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
 def edge_distance(g: Graph, e: int, f: int) -> float:
     """Fewest edges on a shortest path between an endpoint of e and one of f.
 
@@ -210,19 +248,12 @@ def edge_distance(g: Graph, e: int, f: int) -> float:
 
 
 def t_neighborhood(g: Graph, e: int, t: int) -> frozenset[int]:
-    """Edge indices at distance <= t from e, e included. Cached per (e, t)."""
+    """Edge indices at distance <= t from e, e included: the bits of W_t(e)."""
     if not 0 <= e < g.m:
         raise ValueError("edge index out of range")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    key = (e, t)
-    cached = g._nbhd_cache.get(key)
-    if cached is not None:
-        return cached
-    dist = g.vertex_distances_from_edge(e)
-    out = frozenset(i for i, (a, b) in enumerate(g.edges) if min(dist[a], dist[b]) <= t)
-    g._nbhd_cache[key] = out
-    return out
+    return frozenset(_bits(g.nbhd_mask(e, t)))
 
 
 def properness_witness(g: Graph,
@@ -313,16 +344,14 @@ def is_distance_t_matching(g: Graph, edge_set, t: int) -> bool:
     """True iff all pairs in edge_set are at edge distance >= t.
 
     A distance-1 matching is an ordinary matching; distance 2 additionally
-    separates the endpoints by at least one edge.
+    separates the endpoints by at least one edge. Each edge e passes when
+    W_{t-1}(e) meets the set in e alone.
     """
-    es = sorted(edge_set)
-    for i, e in enumerate(es):
-        dist = g.vertex_distances_from_edge(e)
-        for f in es[i + 1:]:
-            a, b = g.edges[f]
-            if min(dist[a], dist[b]) < t:
-                return False
-    return True
+    if t <= 0:
+        return True
+    es = set(edge_set)
+    selected = sum(1 << e for e in es)
+    return all(g.nbhd_mask(e, t - 1) & selected == 1 << e for e in es)
 
 
 def apply_swaps(f: EdgeColoring, cycles) -> EdgeColoring:

@@ -8,11 +8,13 @@ beta-sparse for a colored graph (graph, h, d, s) when, writing B = beta * s:
   (iii) for every edge-anchored 6-neighborhood W, every standard matching M
         of h, and every color c: at most B edges of M inside W list c.
 
-Counts are integers compared against the exact rational B; no rounding.
+Counts are integers, so comparing them against floor(B) is exact; B itself
+stays a Fraction in every reported violation.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -101,9 +103,10 @@ def validate_beta_sparse(cg: ColoredGraph, L: ListAssignment, beta) -> SparsityR
         raise InvalidBound("beta must be nonnegative")
     _check_colors(L, g, d)
     bound = beta * cg.s_measured
+    cap = math.floor(bound)
     violations = []
     for e, cs in sorted(L.items()):
-        if len(cs) > bound:
+        if len(cs) > cap:
             violations.append(Violation("i", (e,), len(cs), bound))
     per_vertex: Counter = Counter()
     for e, cs in L.items():
@@ -112,7 +115,7 @@ def validate_beta_sparse(cg: ColoredGraph, L: ListAssignment, beta) -> SparsityR
             per_vertex[(u, c)] += 1
             per_vertex[(v, c)] += 1
     for (u, c), cnt in sorted(per_vertex.items()):
-        if cnt > bound:
+        if cnt > cap:
             violations.append(Violation("ii", (u, c), cnt, bound))
     sets, containing, reps = g.neighborhood_dedup(6)
     counts: dict[tuple[int, int, int], int] = {}
@@ -123,7 +126,7 @@ def validate_beta_sparse(cg: ColoredGraph, L: ListAssignment, beta) -> SparsityR
                 key = (uid, m, c)
                 counts[key] = counts.get(key, 0) + 1
     for (uid, m, c), cnt in sorted(counts.items()):
-        if cnt > bound:
+        if cnt > cap:
             violations.append(Violation("iii", (reps[uid], m, c), cnt, bound))
     return SparsityReport(not violations, beta, tuple(violations))
 
@@ -139,11 +142,11 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
     beta = as_fraction(beta)
     if beta < 0:
         raise InvalidBound("beta must be nonnegative")
-    bound = beta * cg.s_measured
+    cap = math.floor(beta * cg.s_measured)
     rng = random.Random(seed)
     pairs = [(e, c) for e in range(g.m) for c in range(1, d + 1)]
     rng.shuffle(pairs)
-    if bound < 1:
+    if cap < 1:
         return EMPTY
     lists: dict[int, set[int]] = {}
     per_vertex: Counter = Counter()
@@ -153,14 +156,14 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
         cur = lists.get(e)
         if cur is not None and c in cur:
             continue
-        if (0 if cur is None else len(cur)) + 1 > bound:
+        if cur is not None and len(cur) >= cap:
             continue
         u, v = g.edges[e]
-        if per_vertex[(u, c)] + 1 > bound or per_vertex[(v, c)] + 1 > bound:
+        if per_vertex[(u, c)] >= cap or per_vertex[(v, c)] >= cap:
             continue
         m = h[e]
         keys = [(uid, m, c) for uid in containing[e]]
-        if any(nbhd_counts.get(k, 0) + 1 > bound for k in keys):
+        if any(nbhd_counts.get(k, 0) >= cap for k in keys):
             continue
         if cur is None:
             lists[e] = {c}
@@ -190,11 +193,13 @@ def generate_distance2(cg: ColoredGraph, seed: int, max_list: int) -> ListAssign
     rng = random.Random(seed)
     order = list(range(g.m))
     rng.shuffle(order)
+    # e is admissible iff it lies in no chosen edge's W_1, by symmetry of distance
+    blocked = 0
     support: list[int] = []
     for e in order:
-        dist = g.vertex_distances_from_edge(e)
-        if all(min(dist[a], dist[b]) >= 2 for a, b in (g.edges[f] for f in support)):
+        if not blocked >> e & 1:
             support.append(e)
+            blocked |= g.nbhd_mask(e, 1)
     lists = {}
     for e in sorted(support):
         size = rng.randint(1, max_list)

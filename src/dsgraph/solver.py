@@ -18,6 +18,7 @@ four edges outside their lists. Swaps preserve properness and each vertex's colo
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -142,13 +143,17 @@ class _Checker:
     Cycle structure does not depend on the permutation (recoloring permutes
     cycle colors but not the cycles themselves), so cycles are enumerated once
     under h; per trial only the cycles that touch a listed edge need a look.
+    Integer counts are compared against floor(gamma*s), floor(tau*s) and
+    ceil((1-tau)*s), which decides exactly as the Fractions would.
     """
 
     def __init__(self, cg: ColoredGraph, L: ListAssignment, params: SolverParams,
                  literal_c: bool = False):
         self.cg = cg
-        self.params = params
         self.literal_c = literal_c
+        self.gs = math.floor(params.gamma_s)
+        self.ts = math.floor(params.tau_s)
+        self.limit_literal = math.ceil((1 - params.tau) * params.s)
         g, h = cg.graph, cg.coloring
         self.lists = {e: cs for e, cs in L.items()}
         self.supp = sorted(self.lists)
@@ -185,8 +190,7 @@ class _Checker:
         return [e for e in self.supp if rho(self.h_colors[e]) in self.lists[e]]
 
     def check(self, rho: Permutation, collect: bool = True) -> PermutationCheck:
-        p = self.params
-        gs, ts = p.gamma_s, p.tau_s
+        gs, ts, limit_literal = self.gs, self.ts, self.limit_literal
         conf = self.conflicts(rho)
         wa: list = []
         wb: list = []
@@ -223,7 +227,6 @@ class _Checker:
                     break
         ok_a = not wa
         if collect or (ok_a and ok_b):
-            limit_literal = (1 - p.tau) * p.s
             images = rho.images
             for e, rows in self.sensitive:
                 bad = 0
@@ -323,8 +326,13 @@ def swap_blockers(L: ListAssignment, cyc: FourCycle) -> tuple[frozenset, frozens
 def allowed_cycles(cg: ColoredGraph, f: EdgeColoring, L: ListAssignment, e: int,
                    table=None) -> tuple[FourCycle, ...]:
     """Cycles through e whose swap leaves all four edges conflict-free."""
+    return _allowed_among(f, L, two_colored_cycles_through(cg.graph, f, e, table))
+
+
+def _allowed_among(f: EdgeColoring, L: ListAssignment, cycles) -> tuple[FourCycle, ...]:
+    """The cycles, already enumerated under f, that ``allowed_cycles`` would keep."""
     out = []
-    for cyc in two_colored_cycles_through(cg.graph, f, e, table):
+    for cyc in cycles:
         blocks_a, blocks_b = swap_blockers(L, cyc)
         if f[cyc.e_uv] not in blocks_a and f[cyc.e_vz] not in blocks_b:
             out.append(cyc)
@@ -385,7 +393,7 @@ def construct_swap_plan(cg: ColoredGraph, hprime: EdgeColoring, L: ListAssignmen
     for e in conflicts:
         w4 = t_neighborhood(g, e, 4)
         all_cycles = two_colored_cycles_through(g, hprime, e, table)
-        allowed = allowed_cycles(cg, hprime, L, e, table)
+        allowed = _allowed_among(hprime, L, all_cycles)
         elim_over = 0
         elim_conf_used = 0
         survivors: list[FourCycle] = []

@@ -37,6 +37,11 @@ def test_validate_flags_per_edge_overflow(q3):
     assert not report.ok
     assert any(v.condition == "i" and v.witness == (0,) and v.count == 2
                for v in report.violations)
+    # a fractional bound: 2 > 3/2 is flagged and reported as the Fraction
+    report = dg.validate_beta_sparse(q3, L, Fraction(1, 2))
+    assert [(v.condition, v.count, v.bound) for v in report.violations] == \
+        [("i", 2, Fraction(3, 2))]
+    assert dg.validate_beta_sparse(q3, L, Fraction(2, 3)).ok
 
 
 def test_validate_flags_vertex_color_overflow(q3):

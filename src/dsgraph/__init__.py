@@ -20,10 +20,9 @@ from .errors import (CertificationFailed, ClaimDiscrepancyWarning, ColorOutOfRan
                      NotTwoColored, OracleBudgetExceeded, PermutationBudgetExceeded,
                      PermutationNotFound, PermutationSearchFailed, PreconditionViolated,
                      ResourceLimit, SwapPlanStuck)
-from .graph_core import (EdgeColoring, FourCycle, Graph, Matching, UNREACHABLE,
-                         VertexColorSet, apply_swaps, color_table, compute_s,
-                         edge_distance, is_distance_t_matching, is_proper,
-                         properness_witness, standard_matchings, swap_cycle,
+from .graph_core import (EdgeColoring, FourCycle, Graph, UNREACHABLE, apply_swaps,
+                         color_table, compute_s, edge_distance, is_distance_t_matching,
+                         is_proper, properness_witness, standard_matchings, swap_cycle,
                          t_neighborhood, two_colored_cycles_through, vertex_color_set)
 from .instance_io import (Instance, from_colored_graph, load_instance, save_instance,
                           to_colored_graph)

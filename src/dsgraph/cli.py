@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -330,16 +331,10 @@ def cmd_sweep(args) -> int:
     rows = []
     tally: dict[Fraction, list[int]] = {b: [0, 0] for b in grid}
     for label, cg in families:
-        base = bounds_mod.default_params(cg.d, cg.s_measured)
         for beta in grid:
+            params = dataclasses.replace(_solver_params(cg, args), beta=beta)
             for seed in range(args.seeds):
                 lists = generate_sparse(cg, beta, seed)
-                params = SolverParams(
-                    d=cg.d, s=cg.s_measured,
-                    gamma=args.gamma if args.gamma is not None else base.gamma,
-                    tau=args.tau if args.tau is not None else base.tau,
-                    epsilon=args.epsilon if args.epsilon is not None else base.epsilon,
-                    beta=beta)
                 start = time.perf_counter()
                 result = solve_sparse(cg, lists, params,
                                       RandomSearch(trials=args.trials, seed=seed))

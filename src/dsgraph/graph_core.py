@@ -184,14 +184,6 @@ class EdgeColoring:
 
 
 @dataclass(frozen=True)
-class Matching:
-    """A set of pairwise nonadjacent edges; standard matchings carry their color."""
-
-    edges: frozenset[int]
-    color: int | None = None
-
-
-@dataclass(frozen=True)
 class FourCycle:
     """Two-colored 4-cycle u-v-z-t-u.
 
@@ -220,14 +212,12 @@ class FourCycle:
         return frozenset(self.edge_ids)
 
     @property
+    def edge_mask(self) -> int:
+        return 1 << self.e_uv | 1 << self.e_vz | 1 << self.e_zt | 1 << self.e_tu
+
+    @property
     def vertices(self) -> tuple[int, int, int, int]:
         return (self.u, self.v, self.z, self.t)
-
-
-@dataclass(frozen=True)
-class VertexColorSet:
-    vertex: int
-    colors: frozenset[int]
 
 
 def _bits(mask: int) -> list[int]:
@@ -332,12 +322,12 @@ def compute_s(g: Graph, f: EdgeColoring) -> int:
     return 1 + best
 
 
-def standard_matchings(g: Graph, h: EdgeColoring) -> tuple[Matching, ...]:
-    """The d color classes of the standard coloring h, indexed by color."""
+def standard_matchings(g: Graph, h: EdgeColoring) -> tuple[frozenset[int], ...]:
+    """The d color classes of the standard coloring h; index c - 1 holds color c."""
     buckets: list[list[int]] = [[] for _ in range(h.d + 1)]
     for e in range(g.m):
         buckets[h[e]].append(e)
-    return tuple(Matching(frozenset(buckets[c]), c) for c in range(1, h.d + 1))
+    return tuple(frozenset(buckets[c]) for c in range(1, h.d + 1))
 
 
 def is_distance_t_matching(g: Graph, edge_set, t: int) -> bool:
@@ -377,8 +367,9 @@ def swap_cycle(f: EdgeColoring, c: FourCycle) -> EdgeColoring:
     return apply_swaps(f, (c,))
 
 
-def vertex_color_set(g: Graph, f: EdgeColoring, u: int) -> VertexColorSet:
-    return VertexColorSet(u, frozenset(f[e] for e in g.adjacency[u]))
+def vertex_color_set(g: Graph, f: EdgeColoring, u: int) -> frozenset[int]:
+    """The colors f puts on the edges at u."""
+    return frozenset(f[e] for e in g.adjacency[u])
 
 
 def are_edge_disjoint(cycles) -> bool:

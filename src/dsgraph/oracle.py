@@ -30,8 +30,10 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
 
     Backtracking over edges, always branching on the edge with the fewest
     colors still available (forbidden list removed, colors used at either
-    endpoint removed). Bitmasks keep the inner loop cheap. Raises
-    OracleBudgetExceeded after ``limit`` assignment attempts.
+    endpoint removed), colors in ascending order. Bitmasks keep the inner
+    loop cheap, and an explicit stack keeps the depth (up to m) off the
+    interpreter's recursion limit. Raises OracleBudgetExceeded after
+    ``limit`` assignment attempts.
     """
     full = (1 << d) - 1
     allowed = [full] * g.m
@@ -46,47 +48,53 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
     uncolored = set(range(g.m))
     nodes = 0
 
-    def available(e: int) -> int:
-        u, v = g.edges[e]
-        return allowed[e] & ~vertex_used[u] & ~vertex_used[v]
-
-    def extend() -> bool:
-        nonlocal nodes
-        if not uncolored:
-            return True
+    def select() -> tuple[int, int] | None:
+        """The uncolored edge with the fewest available colors and those colors,
+        or None when some uncolored edge has none left."""
         best, best_mask, best_count = -1, 0, d + 1
         for e in uncolored:
-            mask = available(e)
+            u, v = g.edges[e]
+            mask = allowed[e] & ~vertex_used[u] & ~vertex_used[v]
             count = mask.bit_count()
             if count == 0:
-                return False
+                return None
             if count < best_count:
                 best, best_mask, best_count = e, mask, count
                 if count == 1:
                     break
-        uncolored.remove(best)
-        u, v = g.edges[best]
-        mask = best_mask
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            nodes += 1
-            if nodes > limit:
-                raise OracleBudgetExceeded(nodes)
-            assignment[best] = bit.bit_length()
-            vertex_used[u] |= bit
-            vertex_used[v] |= bit
-            if extend():
-                return True
-            vertex_used[u] &= ~bit
-            vertex_used[v] &= ~bit
-        assignment[best] = 0
-        uncolored.add(best)
-        return False
+        return best, best_mask
 
-    if extend():
-        return OracleResult(True, EdgeColoring(tuple(assignment), d), nodes)
-    return OracleResult(False, None, nodes)
+    # one frame per colored edge: [edge, colors not yet tried, color being tried]
+    stack: list[list[int]] = []
+    while uncolored:
+        choice = select()
+        if choice is not None:
+            uncolored.remove(choice[0])
+            stack.append([choice[0], choice[1], 0])
+        # move the deepest frame to its next color, unwinding frames that have none
+        while stack:
+            frame = stack[-1]
+            e, mask, bit = frame
+            u, v = g.edges[e]
+            if bit:
+                vertex_used[u] &= ~bit
+                vertex_used[v] &= ~bit
+            if mask:
+                bit = mask & -mask
+                frame[1], frame[2] = mask ^ bit, bit
+                nodes += 1
+                if nodes > limit:
+                    raise OracleBudgetExceeded(nodes)
+                assignment[e] = bit.bit_length()
+                vertex_used[u] |= bit
+                vertex_used[v] |= bit
+                break
+            assignment[e] = 0
+            uncolored.add(e)
+            stack.pop()
+        if not stack:
+            return OracleResult(False, None, nodes)
+    return OracleResult(True, EdgeColoring(tuple(assignment), d), nodes)
 
 
 def oracle_cycle_census(g: Graph, f: EdgeColoring) -> dict[int, int]:

@@ -28,10 +28,11 @@ from .constructors import ColoredGraph
 from .errors import (ColorOutOfRange, PermutationBudgetExceeded, PermutationNotFound,
                      PermutationSearchFailed, PreconditionViolated, ResourceLimit,
                      SwapPlanStuck)
-# is_proper and swap_cycle are unused here but wrapped by perfbench/tracing.py.
+# is_proper, swap_cycle and t_neighborhood are unused here but wrapped by
+# perfbench/tracing.py.
 from .graph_core import (EdgeColoring, FourCycle, Graph, apply_swaps, color_table,
-                         is_proper, properness_witness, swap_cycle, t_neighborhood,
-                         two_colored_cycles_through)
+                         is_proper, properness_witness, standard_matchings, swap_cycle,
+                         t_neighborhood, two_colored_cycles_through)
 from .list_assignments import (ListAssignment, as_fraction, conflict_edges,
                                support_is_distance2_matching)
 
@@ -119,18 +120,28 @@ def apply_permutation(h: EdgeColoring, rho: Permutation) -> EdgeColoring:
 
 @dataclass(frozen=True)
 class PermutationCheck:
-    """Outcome of the three phase-one conditions with violation witnesses.
+    """Violation witnesses of the three phase-one conditions; a condition holds
+    when it has none.
 
     Witness shapes: (anchor_edge, matching_color, count) for (a);
     (vertex, count) for (b); (edge, disallowed_count) for (c).
     """
 
-    ok_a: bool
-    ok_b: bool
-    ok_c: bool
     witnesses_a: tuple = ()
     witnesses_b: tuple = ()
     witnesses_c: tuple = ()
+
+    @property
+    def ok_a(self) -> bool:
+        return not self.witnesses_a
+
+    @property
+    def ok_b(self) -> bool:
+        return not self.witnesses_b
+
+    @property
+    def ok_c(self) -> bool:
+        return not self.witnesses_c
 
     @property
     def ok(self) -> bool:
@@ -143,19 +154,16 @@ class _Checker:
     Cycle structure does not depend on the permutation (recoloring permutes
     cycle colors but not the cycles themselves), so cycles are enumerated once
     under h; per trial only the cycles that touch a listed edge need a look.
-    Integer counts are compared against floor(gamma*s), floor(tau*s) and
-    ceil((1-tau)*s), which decides exactly as the Fractions would.
+    Integer counts are compared against floor(gamma*s) and floor(tau*s),
+    which decides exactly as the Fractions would.
     """
 
-    def __init__(self, cg: ColoredGraph, L: ListAssignment, params: SolverParams,
-                 literal_c: bool = False):
-        self.cg = cg
-        self.literal_c = literal_c
+    def __init__(self, cg: ColoredGraph, L: ListAssignment, params: SolverParams):
         self.gs = math.floor(params.gamma_s)
         self.ts = math.floor(params.tau_s)
-        self.limit_literal = math.ceil((1 - params.tau) * params.s)
         g, h = cg.graph, cg.coloring
-        self.lists = {e: cs for e, cs in L.items()}
+        self.edges = g.edges
+        self.lists = dict(L.items())
         self.supp = sorted(self.lists)
         self.h_colors = h.colors
         table = color_table(g, h)
@@ -163,97 +171,66 @@ class _Checker:
         # equal blocker sets are stored once, as rows can number m*d
         shared: dict[frozenset, frozenset] = {}
         self.sensitive: list[tuple[int, list]] = []
-        self.totals = [0] * g.m
-        insensitive_min = None
         for e in range(g.m):
-            cycles = two_colored_cycles_through(g, h, e, table)
-            self.totals[e] = len(cycles)
             rows = []
-            for cyc in cycles:
+            for cyc in two_colored_cycles_through(g, h, e, table):
                 ba, bb = swap_blockers(L, cyc)
                 if ba or bb:
                     rows.append((cyc.color_a - 1, cyc.color_b - 1,
                                  shared.setdefault(ba, ba), shared.setdefault(bb, bb)))
             if rows:
                 self.sensitive.append((e, rows))
-            elif insensitive_min is None or len(cycles) < insensitive_min[1]:
-                insensitive_min = (e, len(cycles))
-        self.insensitive_min = insensitive_min
-        _, containing, reps = g.neighborhood_dedup(6)
-        self.containing = containing
-        self.anchor_reps = reps
+        _, self.containing, self.anchor_reps = g.neighborhood_dedup(6)
 
     def accepts(self, rho: Permutation) -> bool:
-        return self.check(rho, collect=False).ok
+        return next(self.witnesses(rho), None) is None
 
-    def conflicts(self, rho: Permutation) -> list[int]:
-        return [e for e in self.supp if rho(self.h_colors[e]) in self.lists[e]]
+    def check(self, rho: Permutation) -> PermutationCheck:
+        found: dict[str, list] = {"a": [], "b": [], "c": []}
+        for kind, witness in self.witnesses(rho):
+            found[kind].append(witness)
+        return PermutationCheck(tuple(found["a"]), tuple(found["b"]), tuple(found["c"]))
 
-    def check(self, rho: Permutation, collect: bool = True) -> PermutationCheck:
-        gs, ts, limit_literal = self.gs, self.ts, self.limit_literal
-        conf = self.conflicts(rho)
-        wa: list = []
-        wb: list = []
-        wc: list = []
+    def witnesses(self, rho: Permutation):
+        """Yield ("b" | "a" | "c", witness) lazily: (b) by vertex, then (a) by
+        matching and anchor, then (c) by edge, each in ascending order."""
+        gs = self.gs
+        conf = [e for e in self.supp if rho(self.h_colors[e]) in self.lists[e]]
         per_vertex: Counter = Counter()
-        edges = self.cg.graph.edges
         for e in conf:
-            u, v = edges[e]
+            u, v = self.edges[e]
             per_vertex[u] += 1
             per_vertex[v] += 1
         for u, cnt in sorted(per_vertex.items()):
             if cnt > gs:
-                wb.append((u, cnt))
-                if not collect:
-                    break
-        ok_b = not wb
-        if collect or ok_b:
-            by_matching: dict[int, list[int]] = {}
-            for e in conf:
-                by_matching.setdefault(self.h_colors[e], []).append(e)
-            for m, group in sorted(by_matching.items()):
-                if len(group) <= gs:
-                    continue
-                per_anchor: Counter = Counter()
-                for e in group:
-                    for uid in self.containing[e]:
-                        per_anchor[uid] += 1
-                for uid, cnt in sorted(per_anchor.items()):
-                    if cnt > gs:
-                        wa.append((self.anchor_reps[uid], m, cnt))
-                        if not collect:
-                            break
-                if wa and not collect:
-                    break
-        ok_a = not wa
-        if collect or (ok_a and ok_b):
-            images = rho.images
-            for e, rows in self.sensitive:
-                bad = 0
-                for ia, ib, blocks_a, blocks_b in rows:
-                    if images[ia] in blocks_a or images[ib] in blocks_b:
-                        bad += 1
-                if (self.totals[e] - bad < limit_literal) if self.literal_c else bad > ts:
-                    wc.append((e, bad))
-                    if not collect:
-                        break
-            if self.literal_c and self.insensitive_min is not None:
-                e, total = self.insensitive_min
-                if total < limit_literal and (collect or not wc):
-                    wc.append((e, 0))
-        ok_c = not wc
-        return PermutationCheck(ok_a, ok_b, ok_c, tuple(wa), tuple(wb), tuple(wc))
+                yield "b", (u, cnt)
+        by_matching: dict[int, list[int]] = {}
+        for e in conf:
+            by_matching.setdefault(self.h_colors[e], []).append(e)
+        for m, group in sorted(by_matching.items()):
+            if len(group) <= gs:
+                continue
+            per_anchor: Counter = Counter()
+            for e in group:
+                for uid in self.containing[e]:
+                    per_anchor[uid] += 1
+            for uid, cnt in sorted(per_anchor.items()):
+                if cnt > gs:
+                    yield "a", (self.anchor_reps[uid], m, cnt)
+        images = rho.images
+        for e, rows in self.sensitive:
+            bad = 0
+            for ia, ib, blocks_a, blocks_b in rows:
+                if images[ia] in blocks_a or images[ib] in blocks_b:
+                    bad += 1
+            if bad > self.ts:
+                yield "c", (e, bad)
 
 
 def check_permutation(cg: ColoredGraph, L: ListAssignment, rho: Permutation,
-                      params: SolverParams, literal_c: bool = False) -> PermutationCheck:
-    """Evaluate conditions (a), (b), (c) for one permutation, collecting all witnesses.
-
-    By default (c) bounds the disallowed-cycle count by tau*s; with
-    ``literal_c`` it instead requires at least (1-tau)*s allowed cycles per
-    edge, which is strictly stronger on edges with fewer than s cycles.
-    """
-    return _Checker(cg, L, params, literal_c).check(rho, collect=True)
+                      params: SolverParams) -> PermutationCheck:
+    """Evaluate conditions (a), (b), (c) for one permutation, collecting all witnesses."""
+    return _Checker(cg, L, params).check(rho)
 
 
 @dataclass(frozen=True)
@@ -304,13 +281,13 @@ def _search_permutation(accept, d: int, strategy) -> tuple[Permutation, int]:
 
 
 def find_permutation(cg: ColoredGraph, L: ListAssignment, params: SolverParams,
-                     strategy, literal_c: bool = False) -> Permutation:
+                     strategy) -> Permutation:
     """First permutation passing check_permutation, by trial index or lexicographic order.
 
     Raises PermutationNotFound when an exhaustive scan proves none exists and
     PermutationBudgetExceeded when random trials run out (which proves nothing).
     """
-    rho, _ = _search_permutation(_Checker(cg, L, params, literal_c).accepts, cg.d, strategy)
+    rho, _ = _search_permutation(_Checker(cg, L, params).accepts, cg.d, strategy)
     return rho
 
 
@@ -382,30 +359,32 @@ def construct_swap_plan(cg: ColoredGraph, hprime: EdgeColoring, L: ListAssignmen
     if params.epsilon <= 0:
         raise ValueError("epsilon must be positive for overload filtering")
     g, h = cg.graph, cg.coloring
-    es = params.epsilon_s
+    es = math.ceil(params.epsilon_s)  # a count reaches epsilon*s exactly when it reaches es
     conflicts = sorted(conflict_edges(g, hprime, L))
-    conflict_set = set(conflicts)
+    # edge sets are bitmasks over edge indices; incident[w] holds the edges at w
+    conflict_mask = sum(1 << f for f in conflicts)
+    incident = g.edge_balls(0)
+    class_mask = [sum(1 << f for f in m) for m in standard_matchings(g, h)]
     table = color_table(g, hprime)
-    used: set[int] = set()
-    vertex_used: Counter = Counter()
+    used = 0
     cycles: list[FourCycle] = []
     records: list[SelectionRecord] = []
     for e in conflicts:
-        w4 = t_neighborhood(g, e, 4)
+        used_w4 = used & g.nbhd_mask(e, 4)
+        blocked = conflict_mask | used
         all_cycles = two_colored_cycles_through(g, hprime, e, table)
         allowed = _allowed_among(hprime, L, all_cycles)
         elim_over = 0
         elim_conf_used = 0
         survivors: list[FourCycle] = []
         for cyc in allowed:
-            side_matchings = {h[cyc.e_vz], h[cyc.e_tu]}
-            if vertex_used[cyc.z] >= es or vertex_used[cyc.t] >= es or any(
-                    sum(1 for f in used if h[f] == m and f in w4) >= es
-                    for m in side_matchings):
+            if ((used & incident[cyc.z]).bit_count() >= es
+                    or (used & incident[cyc.t]).bit_count() >= es
+                    or (used_w4 & class_mask[h[cyc.e_vz] - 1]).bit_count() >= es
+                    or (used_w4 & class_mask[h[cyc.e_tu] - 1]).bit_count() >= es):
                 elim_over += 1
                 continue
-            sides = (cyc.e_vz, cyc.e_zt, cyc.e_tu)
-            if any(f in conflict_set or f in used for f in sides):
+            if blocked & (1 << cyc.e_vz | 1 << cyc.e_zt | 1 << cyc.e_tu):
                 elim_conf_used += 1
                 continue
             survivors.append(cyc)
@@ -421,16 +400,13 @@ def construct_swap_plan(cg: ColoredGraph, hprime: EdgeColoring, L: ListAssignmen
         cycles.append(chosen)
         records.append(SelectionRecord(e, len(all_cycles), len(allowed),
                                        elim_over, elim_conf_used, len(survivors)))
-        for f in chosen.edge_ids:
-            used.add(f)
-            a, b = g.edges[f]
-            vertex_used[a] += 1
-            vertex_used[b] += 1
+        used |= chosen.edge_mask
     result = apply_swaps(hprime, cycles)
     remaining = conflict_edges(g, result, L)
     if remaining:
         raise SwapPlanStuck(min(remaining), {"post_swap_conflicts": len(remaining)})
-    return result, SwapPlan(tuple(cycles), frozenset(used), tuple(records))
+    return result, SwapPlan(tuple(cycles), frozenset(f for c in cycles for f in c.edge_ids),
+                            tuple(records))
 
 
 @dataclass(frozen=True)
@@ -484,7 +460,7 @@ def _verified(cg: ColoredGraph, L: ListAssignment, final: EdgeColoring,
 
 
 def solve_sparse(cg: ColoredGraph, L: ListAssignment, params: SolverParams | None = None,
-                 strategy=None, literal_c: bool = False) -> SolveResult:
+                 strategy=None) -> SolveResult:
     """Run both phases; on failure return a report instead of raising.
 
     Defaults: params from bounds.default_params on (d, measured s), and a
@@ -496,8 +472,7 @@ def solve_sparse(cg: ColoredGraph, L: ListAssignment, params: SolverParams | Non
     if strategy is None:
         strategy = RandomSearch(trials=200, seed=0)
     try:
-        rho, trials = _search_permutation(_Checker(cg, L, params, literal_c).accepts,
-                                          cg.d, strategy)
+        rho, trials = _search_permutation(_Checker(cg, L, params).accepts, cg.d, strategy)
     except PermutationSearchFailed as exc:
         return SolveResult(None, None, None, exc.trials, FailureReport(
             "permutation", str(exc), trials=exc.trials))
@@ -522,23 +497,21 @@ def _disjoint_cycle_system(cg: ColoredGraph, f: EdgeColoring,
     options = [sorted(allowed_cycles(cg, f, L, e, table), key=lambda c: (c.z, c.t))
                for e in sorted(conflict_edges(g, f, L))]
     chosen: list[FourCycle] = []
-    used: set[int] = set()
 
-    def extend(i: int) -> bool:
+    def extend(i: int, used: int) -> bool:
         if i == len(options):
             return True
         for cyc in options[i]:
-            if used & cyc.edge_set:
+            mask = cyc.edge_mask
+            if used & mask:
                 continue
             chosen.append(cyc)
-            used.update(cyc.edge_ids)
-            if extend(i + 1):
+            if extend(i + 1, used | mask):
                 return True
             chosen.pop()
-            used.difference_update(cyc.edge_ids)
         return False
 
-    return chosen if extend(0) else None
+    return chosen if extend(0, 0) else None
 
 
 def solve_distance2(cg: ColoredGraph, L: ListAssignment) -> SolveResult:

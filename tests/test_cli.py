@@ -176,6 +176,16 @@ def test_oracle_budget_is_undecided(tmp_path, capsys):
     assert "undecided" in err
 
 
+def test_oracle_budget_on_q8_is_undecided_not_a_crash(tmp_path, capsys):
+    # the search is m = 1024 edges deep here
+    f = str(tmp_path / "q8.json")
+    run(capsys, "construct", "--family", "hypercube", "--d", "8", "--out", f)
+    run(capsys, "gen-lists", f, "--distance2", "--seed", "10")
+    code, _, err = run(capsys, "oracle", f, "--budget", "3000")
+    assert code == 1
+    assert "undecided" in err and "Traceback" not in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "analyze", "no-such-file.json")
     assert code == 2

@@ -3,6 +3,9 @@
 import warnings
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import pytest
 
 import dsgraph as dg
@@ -37,6 +40,98 @@ def test_oracle_budget_raises(k44):
     with pytest.raises(dg.OracleBudgetExceeded) as ei:
         dg.oracle_avoidable(k44.graph, 4, dg.EMPTY, limit=3)
     assert ei.value.nodes_explored > 3
+
+
+def recursive_oracle(g, d, L, limit):
+    """The recursive backtracking ``oracle_avoidable`` replaced, kept as the
+    reference: (avoidable, colors or None, nodes), or ("budget", nodes)."""
+    full = (1 << d) - 1
+    allowed = [full] * g.m
+    for e, colors in L.items():
+        for c in colors:
+            if 1 <= c <= d:
+                allowed[e] &= ~(1 << (c - 1))
+    vertex_used = [0] * g.n
+    assignment = [0] * g.m
+    uncolored = set(range(g.m))
+    nodes = 0
+
+    def extend():
+        nonlocal nodes
+        if not uncolored:
+            return True
+        best, best_mask, best_count = -1, 0, d + 1
+        for e in uncolored:
+            u, v = g.edges[e]
+            mask = allowed[e] & ~vertex_used[u] & ~vertex_used[v]
+            count = mask.bit_count()
+            if count == 0:
+                return False
+            if count < best_count:
+                best, best_mask, best_count = e, mask, count
+                if count == 1:
+                    break
+        uncolored.remove(best)
+        u, v = g.edges[best]
+        mask = best_mask
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            nodes += 1
+            if nodes > limit:
+                raise dg.OracleBudgetExceeded(nodes)
+            assignment[best] = bit.bit_length()
+            vertex_used[u] |= bit
+            vertex_used[v] |= bit
+            if extend():
+                return True
+            vertex_used[u] &= ~bit
+            vertex_used[v] &= ~bit
+        assignment[best] = 0
+        uncolored.add(best)
+        return False
+
+    try:
+        found = extend()
+    except dg.OracleBudgetExceeded as exc:
+        return "budget", exc.nodes_explored
+    return found, tuple(assignment) if found else None, nodes
+
+
+def iterative_oracle(g, d, L, limit):
+    """``oracle_avoidable`` in the reference's result shape."""
+    try:
+        res = dg.oracle_avoidable(g, d, L, limit)
+    except dg.OracleBudgetExceeded as exc:
+        return "budget", exc.nodes_explored
+    return res.avoidable, res.witness.colors if res.avoidable else None, res.nodes_explored
+
+
+ORACLE_GRAPHS = {"Q3": dg.hypercube(3), "Q4": dg.hypercube(4), "Q5": dg.hypercube(5),
+                 "K4,4": dg.complete_bipartite_pow2(2), "K8,8": dg.complete_bipartite_pow2(3)}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(ORACLE_GRAPHS)), st.booleans(),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_oracle_matches_recursive_reference(name, distance2, seed):
+    # same branching order, so the same witness, node count and budget point
+    cg = ORACLE_GRAPHS[name]
+    if distance2:
+        L = dg.generate_distance2(cg, seed, cg.s_measured - 1)
+    else:
+        L = random_lists(cg.graph, cg.d, seed, 2)
+    assert iterative_oracle(cg.graph, cg.d, L, 3000) == \
+        recursive_oracle(cg.graph, cg.d, L, 3000)
+
+
+def test_oracle_budget_not_recursion_limit_on_q8():
+    # depth m = 1024 exceeded the interpreter's recursion limit before the budget
+    q8 = dg.hypercube(8)
+    L = dg.generate_distance2(q8, 10, q8.s_measured - 1)
+    with pytest.raises(dg.OracleBudgetExceeded) as ei:
+        dg.oracle_avoidable(q8.graph, q8.d, L, limit=3000)
+    assert ei.value.nodes_explored == 3001
 
 
 def test_oracle_witness_always_verifies(q3, k44):

@@ -32,8 +32,8 @@ def test_apply_permutation_preserves_structure(q4):
     for e in range(len(g.edges)):
         assert f[e] == rho(h[e])
     # color classes move as blocks
-    for m in dg.standard_matchings(g, h):
-        assert all(f[e] == rho(m.color) for e in m.edges)
+    for color, m in enumerate(dg.standard_matchings(g, h), start=1):
+        assert all(f[e] == rho(color) for e in m)
 
 
 def test_solver_params_validation():
@@ -62,26 +62,6 @@ def test_check_permutation_counts_vertex_conflicts(q3):
     res = dg.check_permutation(q3, L, dg.Permutation.identity(3), p)
     assert not res.ok_b
     assert (0, 2) in res.witnesses_b
-
-
-def test_check_permutation_literal_mode_is_stricter(k44):
-    # edge 0 has 3 cycles, one recolors it into its list: fine as a count of
-    # disallowed cycles, short of the literal allowed-cycles floor
-    L = dg.ListAssignment.from_dict({0: [2]})
-    p = dg.SolverParams(4, 4, Fraction(1, 2), Fraction(1, 4), Fraction(1, 2))
-    ident = dg.Permutation.identity(4)
-    assert dg.check_permutation(k44, L, ident, p).ok_c
-    lit = dg.check_permutation(k44, L, ident, p, literal_c=True)
-    assert not lit.ok_c
-    assert (0, 1) in lit.witnesses_c
-
-
-def test_check_permutation_literal_mode_floors_unlisted_edges(k44):
-    # tau=0 demands s allowed cycles per edge but only s-1 exist anywhere
-    p = dg.SolverParams(4, 4, 0, 0, Fraction(1, 2))
-    ident = dg.Permutation.identity(4)
-    assert dg.check_permutation(k44, dg.EMPTY, ident, p).ok
-    assert not dg.check_permutation(k44, dg.EMPTY, ident, p, literal_c=True).ok_c
 
 
 def test_find_permutation_identity_first_on_empty_lists(q3):

@@ -11,9 +11,16 @@ E_t(w) = E_{t-1}(w) | OR over neighbours x of E_{t-1}(x), so E_t(w) holds the
 edges with an endpoint within distance t of w. An edge uv then has the
 t-neighborhood W_t(uv) = E_t(u) | E_t(v), exactly, disconnected graphs
 included. ``Graph.edge_balls`` caches the balls for each radius a caller asks
-for (n*m/8 bytes each), and ``Graph.nbhd_mask`` returns W_t(e); the bits of
-that mask serve ``t_neighborhood``, ``Graph.neighborhood_dedup``,
-``is_distance_t_matching`` and the distance-2 list generator.
+for (n*m/8 bytes each, refused above ``EDGE_BALL_BYTES_CAP``), and
+``Graph.nbhd_mask`` returns W_t(e); the bits of that mask serve
+``t_neighborhood``, ``is_distance_t_matching`` and the distance-2 list
+generator.
+
+Edge distance is symmetric, so the anchors whose W_t holds e are exactly the
+bits of W_t(e). Questions of the form "how many chosen edges lie in each
+anchor's W_t" therefore need no table: ``add_count`` adds W_t(e) to a
+bit-sliced counter over all anchors at once, and ``Graph.crowded_anchors``
+names the anchors whose count exceeds a cap, one per class of equal W_t.
 
 A proper coloring makes 4-cycle enumeration cheap: for an edge uv of color a
 and any other color c there is at most one c-colored edge at v (to some z) and
@@ -28,9 +35,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import IncompleteColoring, NotTwoColored
+from .errors import IncompleteColoring, NotTwoColored, ResourceLimit
 
 UNREACHABLE = math.inf
+# per radius; admits Q14 (235 MB) and refuses Q15 (1.0 GB)
+EDGE_BALL_BYTES_CAP = 256 * 2 ** 20
 
 
 class Graph:
@@ -49,7 +58,6 @@ class Graph:
         self.adjacency = tuple(tuple(a) for a in adjacency)
         self.edge_index = index
         self._balls: dict[int, tuple[int, ...]] = {}
-        self._unique_nbhd_cache: dict[int, tuple[tuple[frozenset[int], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -97,13 +105,18 @@ class Graph:
 
         Cached per requested radius only. The growth stops early once no
         ball grows, so a radius beyond the diameter costs no more than the
-        diameter itself.
+        diameter itself. Raises ResourceLimit instead of building a table of
+        more than ``EDGE_BALL_BYTES_CAP`` bytes.
         """
         if t < 0:
             raise ValueError("t must be nonnegative")
         cached = self._balls.get(t)
         if cached is not None:
             return cached
+        size = self.n * self.m // 8
+        if size > EDGE_BALL_BYTES_CAP:
+            raise ResourceLimit(
+                f"edge balls need {size} bytes per radius, above cap {EDGE_BALL_BYTES_CAP}")
         balls = [sum(1 << e for e in adj) for adj in self.adjacency]
         neighbours = [[self.other_endpoint(e, w) for e in adj]
                       for w, adj in enumerate(self.adjacency)]
@@ -126,16 +139,36 @@ class Graph:
         u, v = self.edges[e]
         return balls[u] | balls[v]
 
+    def crowded_anchors(self, edges, cap: int, t: int) -> list[tuple[int, int]]:
+        """(least anchor, count) for each W_t class of anchor edges whose W_t
+        holds more than cap of the distinct edges, in ascending anchor order.
+
+        Anchors with equal W_t have equal counts, so the least anchor of a
+        crowded class is the least anchor with that W_t at all.
+        """
+        if len(edges) <= cap:
+            return []
+        balls = self.edge_balls(t)
+        levels = [0] * (cap + 1)
+        members = 0
+        for e in edges:
+            u, v = self.edges[e]
+            add_count(levels, balls[u] | balls[v])
+            members |= 1 << e
+        seen: set[int] = set()
+        out = []
+        for a in _bits(levels[cap]):
+            u, v = self.edges[a]
+            w = balls[u] | balls[v]
+            if w not in seen:
+                seen.add(w)
+                out.append((a, (members & w).bit_count()))
+        return out
+
+    # unused by the library; kept because perfbench/tracing.py wraps it by name
     def neighborhood_dedup(self, t: int):
         """Unique t-neighborhood edge sets, a representative anchor for each,
-        and for every edge the ids of the unique sets that contain it.
-
-        Many anchors share one neighborhood on small dense graphs, so sparsity
-        checks that quantify over all anchors dedupe through this.
-        """
-        cached = self._unique_nbhd_cache.get(t)
-        if cached is not None:
-            return cached
+        and for every edge the ids of the unique sets that contain it."""
         reps: dict[int, int] = {}
         for e in range(self.m):
             reps.setdefault(self.nbhd_mask(e, t), e)
@@ -146,9 +179,7 @@ class Graph:
             sets.append(frozenset(members))
             for f in members:
                 containing[f].append(uid)
-        out = (tuple(sets), tuple(tuple(c) for c in containing), tuple(reps.values()))
-        self._unique_nbhd_cache[t] = out
-        return out
+        return tuple(sets), tuple(tuple(c) for c in containing), tuple(reps.values())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -208,10 +239,6 @@ class FourCycle:
         return (self.e_uv, self.e_vz, self.e_zt, self.e_tu)
 
     @property
-    def edge_set(self) -> frozenset[int]:
-        return frozenset(self.edge_ids)
-
-    @property
     def edge_mask(self) -> int:
         return 1 << self.e_uv | 1 << self.e_vz | 1 << self.e_zt | 1 << self.e_tu
 
@@ -223,6 +250,17 @@ class FourCycle:
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of mask, ascending."""
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def add_count(levels: list[int], mask: int) -> None:
+    """Count each bit of mask once more in the bit-sliced counter levels.
+
+    levels[j] holds the bits counted more than j times; the top level
+    saturates, so k levels tell the counts 0 to k - 1 and "at least k" apart.
+    """
+    for j in range(len(levels) - 1, 0, -1):
+        levels[j] |= levels[j - 1] & mask
+    levels[0] |= mask
 
 
 def edge_distance(g: Graph, e: int, f: int) -> float:
@@ -365,28 +403,3 @@ def apply_swaps(f: EdgeColoring, cycles) -> EdgeColoring:
 def swap_cycle(f: EdgeColoring, c: FourCycle) -> EdgeColoring:
     """Exchange the two colors along one two-colored 4-cycle; see ``apply_swaps``."""
     return apply_swaps(f, (c,))
-
-
-def vertex_color_set(g: Graph, f: EdgeColoring, u: int) -> frozenset[int]:
-    """The colors f puts on the edges at u."""
-    return frozenset(f[e] for e in g.adjacency[u])
-
-
-def are_edge_disjoint(cycles) -> bool:
-    seen: set[int] = set()
-    for c in cycles:
-        es = c.edge_set
-        if seen & es:
-            return False
-        seen |= es
-    return True
-
-
-def are_vertex_disjoint(cycles) -> bool:
-    seen: set[int] = set()
-    for c in cycles:
-        vs = set(c.vertices)
-        if seen & vs:
-            return False
-        seen |= vs
-    return True

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .constructors import ColoredGraph
 from .errors import ColorOutOfRange, InvalidBound
-from .graph_core import EdgeColoring, Graph, is_distance_t_matching
+from .graph_core import EdgeColoring, Graph, add_count, is_distance_t_matching
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +94,8 @@ def validate_beta_sparse(cg: ColoredGraph, L: ListAssignment, beta) -> SparsityR
     """Check conditions (i)-(iii); the report lists one violation per witness.
 
     Condition (iii) quantifies over one 6-neighborhood per edge; anchors with
-    identical neighborhoods are deduplicated and reported through a
-    representative anchor edge.
+    identical neighborhoods share one violation, reported through the least
+    anchor of each W6 class.
     """
     g, h, d = cg.graph, cg.coloring, cg.d
     beta = as_fraction(beta)
@@ -117,17 +117,14 @@ def validate_beta_sparse(cg: ColoredGraph, L: ListAssignment, beta) -> SparsityR
     for (u, c), cnt in sorted(per_vertex.items()):
         if cnt > cap:
             violations.append(Violation("ii", (u, c), cnt, bound))
-    sets, containing, reps = g.neighborhood_dedup(6)
-    counts: dict[tuple[int, int, int], int] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for e, cs in L.items():
-        m = h[e]
-        for uid in containing[e]:
-            for c in cs:
-                key = (uid, m, c)
-                counts[key] = counts.get(key, 0) + 1
-    for (uid, m, c), cnt in sorted(counts.items()):
-        if cnt > cap:
-            violations.append(Violation("iii", (reps[uid], m, c), cnt, bound))
+        for c in cs:
+            groups.setdefault((h[e], c), []).append(e)
+    crowded = [(a, m, c, cnt) for (m, c), group in groups.items()
+               for a, cnt in g.crowded_anchors(group, cap, 6)]
+    for a, m, c, cnt in sorted(crowded):
+        violations.append(Violation("iii", (a, m, c), cnt, bound))
     return SparsityReport(not violations, beta, tuple(violations))
 
 
@@ -150,8 +147,10 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
         return EMPTY
     lists: dict[int, set[int]] = {}
     per_vertex: Counter = Counter()
-    _, containing, _ = g.neighborhood_dedup(6)
-    nbhd_counts: dict[tuple[int, int, int], int] = {}
+    balls = g.edge_balls(6)
+    # (matching, color) -> bit-sliced counts of admitted pairs per anchor W6;
+    # the top level holds the anchors already at cap
+    levels: dict[tuple[int, int], list[int]] = {}
     for e, c in pairs:
         cur = lists.get(e)
         if cur is not None and c in cur:
@@ -161,9 +160,11 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
         u, v = g.edges[e]
         if per_vertex[(u, c)] >= cap or per_vertex[(v, c)] >= cap:
             continue
-        m = h[e]
-        keys = [(uid, m, c) for uid in containing[e]]
-        if any(nbhd_counts.get(k, 0) >= cap for k in keys):
+        w6 = balls[u] | balls[v]
+        counts = levels.get((h[e], c))
+        if counts is None:
+            counts = levels[(h[e], c)] = [0] * cap
+        elif counts[-1] & w6:
             continue
         if cur is None:
             lists[e] = {c}
@@ -171,8 +172,7 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
             cur.add(c)
         per_vertex[(u, c)] += 1
         per_vertex[(v, c)] += 1
-        for k in keys:
-            nbhd_counts[k] = nbhd_counts.get(k, 0) + 1
+        add_count(counts, w6)
     return ListAssignment({e: frozenset(cs) for e, cs in lists.items()})
 
 

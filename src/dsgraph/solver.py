@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -152,35 +152,41 @@ class _Checker:
     """Precomputed structures for evaluating many permutations on one instance.
 
     Cycle structure does not depend on the permutation (recoloring permutes
-    cycle colors but not the cycles themselves), so cycles are enumerated once
-    under h; per trial only the cycles that touch a listed edge need a look.
-    Integer counts are compared against floor(gamma*s) and floor(tau*s),
-    which decides exactly as the Fractions would.
+    cycle colors but not the cycles themselves), so the cycles through listed
+    edges are enumerated once under h, each handled from its least listed edge
+    and giving one row to each of its four edges; per trial only those rows
+    need a look. Condition (a) counts each matching's conflict edges per
+    anchor with ``Graph.crowded_anchors``. Integer counts are compared against
+    floor(gamma*s) and floor(tau*s), which decides exactly as the Fractions
+    would.
     """
 
     def __init__(self, cg: ColoredGraph, L: ListAssignment, params: SolverParams):
         self.gs = math.floor(params.gamma_s)
         self.ts = math.floor(params.tau_s)
         g, h = cg.graph, cg.coloring
-        self.edges = g.edges
+        self.graph, self.edges = g, g.edges
         self.lists = dict(L.items())
         self.supp = sorted(self.lists)
         self.h_colors = h.colors
         table = color_table(g, h)
-        # (edge, [(a_h - 1, b_h - 1, blocks_a, blocks_b)]) for cycles a list can block;
-        # equal blocker sets are stored once, as rows can number m*d
-        shared: dict[frozenset, frozenset] = {}
-        self.sensitive: list[tuple[int, list]] = []
-        for e in range(g.m):
-            rows = []
+        # edge -> [(own color - 1, other color - 1, blocks own, blocks other)];
+        # a cycle with no listed edge can never be blocked and has no rows
+        rows: defaultdict[int, list] = defaultdict(list)
+        done: set[int] = set()  # listed edges whose cycles already gave their rows
+        for e in self.supp:
             for cyc in two_colored_cycles_through(g, h, e, table):
+                if not done.isdisjoint(cyc.edge_ids):
+                    continue
                 ba, bb = swap_blockers(L, cyc)
-                if ba or bb:
-                    rows.append((cyc.color_a - 1, cyc.color_b - 1,
-                                 shared.setdefault(ba, ba), shared.setdefault(bb, bb)))
-            if rows:
-                self.sensitive.append((e, rows))
-        _, self.containing, self.anchor_reps = g.neighborhood_dedup(6)
+                ia, ib = cyc.color_a - 1, cyc.color_b - 1
+                row_a, row_b = (ia, ib, ba, bb), (ib, ia, bb, ba)
+                rows[cyc.e_uv].append(row_a)
+                rows[cyc.e_zt].append(row_a)
+                rows[cyc.e_vz].append(row_b)
+                rows[cyc.e_tu].append(row_b)
+            done.add(e)
+        self.sensitive = sorted(rows.items())
 
     def accepts(self, rho: Permutation) -> bool:
         return next(self.witnesses(rho), None) is None
@@ -208,15 +214,8 @@ class _Checker:
         for e in conf:
             by_matching.setdefault(self.h_colors[e], []).append(e)
         for m, group in sorted(by_matching.items()):
-            if len(group) <= gs:
-                continue
-            per_anchor: Counter = Counter()
-            for e in group:
-                for uid in self.containing[e]:
-                    per_anchor[uid] += 1
-            for uid, cnt in sorted(per_anchor.items()):
-                if cnt > gs:
-                    yield "a", (self.anchor_reps[uid], m, cnt)
+            for a, cnt in self.graph.crowded_anchors(group, gs, 6):
+                yield "a", (a, m, cnt)
         images = rho.images
         for e, rows in self.sensitive:
             bad = 0
@@ -335,14 +334,6 @@ class SwapPlan:
     cycles: tuple[FourCycle, ...]
     used: frozenset[int]
     records: tuple[SelectionRecord, ...]
-
-    def vertex_used_counts(self, g: Graph) -> Counter:
-        counts: Counter = Counter()
-        for e in self.used:
-            u, v = g.edges[e]
-            counts[u] += 1
-            counts[v] += 1
-        return counts
 
 
 def construct_swap_plan(cg: ColoredGraph, hprime: EdgeColoring, L: ListAssignment,

@@ -18,8 +18,8 @@ import pytest
 from mpmath import mp
 
 import dsgraph as dg
-from dsgraph.graph_core import are_edge_disjoint
-from tests.conftest import random_lists
+from tests.conftest import (are_edge_disjoint, random_lists, vertex_color_set,
+                            vertex_used_counts)
 
 
 def run_criterion(number, label, body):
@@ -239,7 +239,7 @@ def test_criterion_5_swap_plan_properties():
                 assert len(plan.cycles) == len(conflicts)
                 for c in plan.cycles:
                     assert not ({c.e_vz, c.e_zt, c.e_tu} & conflicts)
-                for count in plan.vertex_used_counts(g).values():
+                for count in vertex_used_counts(plan, g).values():
                     assert count <= vertex_cap
                 for rec in plan.records:
                     assert rec.survivors == (rec.allowed
@@ -262,7 +262,7 @@ def test_criterion_6_swap_algebra():
         for cg in (dg.hypercube(3), dg.hypercube(4),
                    dg.complete_bipartite_pow2(2), dg.complete_bipartite_pow2(3)):
             g, h = cg.graph, cg.coloring
-            palettes = [dg.vertex_color_set(g, h, u) for u in range(g.n)]
+            palettes = [vertex_color_set(g, h, u) for u in range(g.n)]
             f = h
             done = attempts = 0
             while done < 2500:
@@ -280,10 +280,10 @@ def test_criterion_6_swap_algebra():
                 done += 1
                 assert dg.is_proper(g, f)
                 for u in c.vertices:
-                    assert dg.vertex_color_set(g, f, u) == palettes[u]
+                    assert vertex_color_set(g, f, u) == palettes[u]
             # full palette audit at the end of each family's run
             for u in range(g.n):
-                assert dg.vertex_color_set(g, f, u) == palettes[u]
+                assert vertex_color_set(g, f, u) == palettes[u]
 
     run_criterion(6, "swap algebra", body)
 

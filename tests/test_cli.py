@@ -80,6 +80,15 @@ def test_full_distance2_pipeline(tmp_path, capsys):
     assert "solution" in data
 
 
+def test_gen_lists_reports_the_edge_ball_cap(tmp_path, capsys, monkeypatch):
+    f = str(tmp_path / "q4.json")
+    run(capsys, "construct", "--family", "hypercube", "--d", "4", "--out", f)
+    monkeypatch.setattr(dg.graph_core, "EDGE_BALL_BYTES_CAP", 63)
+    code, _, err = run(capsys, "gen-lists", f, "--beta", "1/4")
+    assert code == 2
+    assert "above cap 63" in err
+
+
 def test_solve_auto_prefers_distance2_form(tmp_path, capsys):
     f = str(tmp_path / "q4.json")
     run(capsys, "construct", "--family", "hypercube", "--d", "4", "--out", f)

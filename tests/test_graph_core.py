@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsgraph as dg
-from dsgraph.graph_core import Graph, are_edge_disjoint, are_vertex_disjoint
+from dsgraph import graph_core
+from dsgraph.graph_core import Graph
+from tests.conftest import (are_edge_disjoint, are_vertex_disjoint, edge_set,
+                            vertex_color_set)
 
 
 def cycle_graph(n):
@@ -90,6 +93,27 @@ def test_neighborhood_dedup_groups_equal_sets(q3):
     assert reps == (0,)
 
 
+def test_edge_balls_refuse_a_table_above_the_byte_cap(monkeypatch):
+    g = dg.hypercube(4).graph
+    size = g.n * g.m // 8  # 64 bytes per radius on Q4
+    monkeypatch.setattr(graph_core, "EDGE_BALL_BYTES_CAP", size - 1)
+    with pytest.raises(dg.ResourceLimit, match="64 bytes per radius, above cap 63"):
+        g.edge_balls(6)
+    with pytest.raises(dg.ResourceLimit):
+        g.nbhd_mask(0, 1)
+    monkeypatch.setattr(graph_core, "EDGE_BALL_BYTES_CAP", size)
+    assert g.nbhd_mask(0, 6) == (1 << g.m) - 1
+
+
+def test_edge_ball_cap_admits_q14_and_refuses_q15_and_q16():
+    def per_radius(d):  # n * m / 8 for Q_d, computed without building it
+        return 2 ** d * (d * 2 ** (d - 1)) // 8
+
+    cap = graph_core.EDGE_BALL_BYTES_CAP
+    assert per_radius(14) == 234_881_024 <= cap
+    assert cap < per_radius(15) == 1_006_632_960 < per_radius(16)
+
+
 def test_is_proper_and_is_total(q3):
     g, h = q3.graph, q3.coloring
     assert h.is_total
@@ -134,7 +158,7 @@ def test_cycle_edges_alternate_colors(q4):
         for c in dg.two_colored_cycles_through(g, h, e):
             assert h[c.e_uv] == h[c.e_zt] == c.color_a
             assert h[c.e_vz] == h[c.e_tu] == c.color_b
-            assert len(c.edge_set) == 4
+            assert len(edge_set(c)) == 4
             assert len(c.vertices) == 4
 
 
@@ -181,7 +205,7 @@ def test_distance_matching_agrees_with_pairwise_scan(edge_set, t):
 def test_vertex_color_set(q3):
     g, h = q3.graph, q3.coloring
     for u in range(g.n):
-        assert dg.vertex_color_set(g, h, u) == frozenset(range(1, h.d + 1))
+        assert vertex_color_set(g, h, u) == frozenset(range(1, h.d + 1))
 
 
 def test_color_table_inverts_coloring(k44):
@@ -198,7 +222,7 @@ def test_swap_cycle_exchanges_the_two_colors(q3):
     f = dg.swap_cycle(h, c)
     assert f[c.e_uv] == f[c.e_zt] == c.color_b
     assert f[c.e_vz] == f[c.e_tu] == c.color_a
-    untouched = set(range(len(g.edges))) - c.edge_set
+    untouched = set(range(len(g.edges))) - edge_set(c)
     assert all(f[e] == h[e] for e in untouched)
 
 
@@ -212,7 +236,7 @@ def test_swap_cycle_preserves_properness_and_vertex_palettes(q4):
         f = dg.swap_cycle(f, cycles[-1])
         assert dg.is_proper(g, f)
         for u in range(g.n):
-            assert dg.vertex_color_set(g, f, u) == dg.vertex_color_set(g, h, u)
+            assert vertex_color_set(g, f, u) == vertex_color_set(g, h, u)
 
 
 def test_double_swap_is_identity(q3):
@@ -276,7 +300,7 @@ def test_disjointness_predicates(q3):
     assert are_edge_disjoint([c0]) and are_vertex_disjoint([c0])
     overlapping = dg.two_colored_cycles_through(g, h, 0)
     assert not are_edge_disjoint(overlapping)
-    if c0.edge_set.isdisjoint(c1.edge_set):
+    if edge_set(c0).isdisjoint(edge_set(c1)):
         assert are_edge_disjoint([c0, c1])
 
 

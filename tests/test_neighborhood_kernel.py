@@ -4,18 +4,26 @@ The reference computes vertex distances by BFS over a plain adjacency list
 built from the edge tuples, so it shares no code with ``graph_core``'s
 bitmask balls. The distance-2 generator is compared with the all-pairs greedy
 it replaced, reimplemented here on the same random draws.
+
+The bit-sliced anchor counters behind ``generate_sparse``, sparsity condition
+(iii) and phase-one condition (a) are compared with the 6-neighborhood tables
+they replaced: the table-based generator and both counting loops are kept
+here, built on ``Graph.neighborhood_dedup``, and must agree witness for
+witness.
 """
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsgraph as dg
 from dsgraph.constructors import ColoredGraph
-from dsgraph.graph_core import Graph
+from dsgraph.graph_core import Graph, add_count
+from tests.conftest import random_lists
 
 
 def _two_disjoint_4_cycles():
@@ -158,3 +166,139 @@ def test_generate_distance2_is_maximal_on_q11():
             near.update(adjacent[w])
     # maximal: every edge off the support has an endpoint within 1 of it
     assert all(u in near or v in near for u, v in g.edges)
+
+
+_tables: dict = {}
+
+
+def dedup6(label):
+    """The old (sets, containing, reps) tables for W6, built once per label."""
+    if label not in _tables:
+        _tables[label] = fresh(instance(label)[0].graph).neighborhood_dedup(6)
+    return _tables[label]
+
+
+def table_generate_sparse(cg, containing, beta, seed):
+    """The greedy generator as it counted per (W6 class, matching, color)."""
+    g, h, d = cg.graph, cg.coloring, cg.d
+    cap = math.floor(beta * cg.s_measured)
+    rng = random.Random(seed)
+    pairs = [(e, c) for e in range(g.m) for c in range(1, d + 1)]
+    rng.shuffle(pairs)
+    if cap < 1:
+        return dg.EMPTY
+    lists: dict = {}
+    per_vertex: Counter = Counter()
+    nbhd_counts: dict = {}
+    for e, c in pairs:
+        cur = lists.get(e)
+        if cur is not None and (c in cur or len(cur) >= cap):
+            continue
+        u, v = g.edges[e]
+        if per_vertex[(u, c)] >= cap or per_vertex[(v, c)] >= cap:
+            continue
+        keys = [(uid, h[e], c) for uid in containing[e]]
+        if any(nbhd_counts.get(k, 0) >= cap for k in keys):
+            continue
+        lists.setdefault(e, set()).add(c)
+        per_vertex[(u, c)] += 1
+        per_vertex[(v, c)] += 1
+        for k in keys:
+            nbhd_counts[k] = nbhd_counts.get(k, 0) + 1
+    return dg.ListAssignment({e: frozenset(cs) for e, cs in lists.items()})
+
+
+def table_condition_iii(cg, tables, L, beta):
+    """Condition (iii) violations from per-(uid, matching, color) counts."""
+    _, containing, reps = tables
+    bound = beta * cg.s_measured
+    counts: dict = {}
+    for e, cs in L.items():
+        for uid in containing[e]:
+            for c in cs:
+                key = (uid, cg.coloring[e], c)
+                counts[key] = counts.get(key, 0) + 1
+    return [dg.Violation("iii", (reps[uid], m, c), cnt, bound)
+            for (uid, m, c), cnt in sorted(counts.items()) if cnt > math.floor(bound)]
+
+
+def table_condition_a(cg, tables, L, rho, gs):
+    """Phase-one (a) witnesses from per-uid counts of each matching's conflicts."""
+    _, containing, reps = tables
+    h = cg.coloring
+    by_matching: dict = {}
+    for e in sorted(L.lists):
+        if rho(h[e]) in L.lists[e]:
+            by_matching.setdefault(h[e], []).append(e)
+    out = []
+    for m, group in sorted(by_matching.items()):
+        per_anchor: Counter = Counter()
+        for e in group:
+            for uid in containing[e]:
+                per_anchor[uid] += 1
+        out += [(reps[uid], m, cnt) for uid, cnt in sorted(per_anchor.items()) if cnt > gs]
+    return out
+
+
+def some_lists(cg, beta_num, seed, crowded):
+    """Generated beta-sparse lists, or unconstrained ones that crowd every check."""
+    if crowded:
+        return random_lists(cg.graph, cg.d, seed, 2)
+    return dg.generate_sparse(cg, Fraction(beta_num, cg.s_measured), seed)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.integers(min_value=0, max_value=63), max_size=12),
+       st.integers(min_value=1, max_value=4))
+def test_add_count_levels_hold_the_bits_counted_more_than_j_times(masks, k):
+    levels = [0] * k
+    for mask in masks:
+        add_count(levels, mask)
+    for bit in range(6):
+        count = sum(mask >> bit & 1 for mask in masks)
+        assert [levels[j] >> bit & 1 for j in range(k)] == [int(count > j) for j in range(k)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(labels, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=10 ** 6))
+def test_generate_sparse_matches_table_generator(label, beta_num, seed):
+    cg, _ = instance(label)
+    beta = Fraction(beta_num, cg.s_measured)
+    _, containing, _ = dedup6(label)
+    assert dg.generate_sparse(cg, beta, seed) == table_generate_sparse(cg, containing, beta, seed)
+
+
+@settings(deadline=None, max_examples=80)
+@given(labels, st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=10 ** 6),
+       st.booleans(), st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]))
+def test_condition_iii_matches_table_loop(label, beta_num, seed, crowded, check_num):
+    # validating below the generating beta (0 and 1/(2s) included) forces violations
+    cg, _ = instance(label)
+    L = some_lists(cg, beta_num, seed, crowded)
+    beta = check_num / cg.s_measured
+    got = [v for v in dg.validate_beta_sparse(cg, L, beta).violations if v.condition == "iii"]
+    assert got == table_condition_iii(cg, dedup6(label), L, beta)
+
+
+@settings(deadline=None, max_examples=80)
+@given(labels, st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=10 ** 6),
+       st.booleans(), st.integers(min_value=0, max_value=1))
+def test_condition_a_matches_table_loop(label, beta_num, seed, crowded, gs):
+    cg, _ = instance(label)
+    s = cg.s_measured
+    L = some_lists(cg, beta_num, seed, crowded)
+    params = dg.SolverParams(cg.d, s, Fraction(gs, s), Fraction(1, 2), Fraction(1, 2))
+    rng = random.Random(seed)
+    for _ in range(4):
+        images = list(range(1, cg.d + 1))
+        rng.shuffle(images)
+        rho = dg.Permutation(tuple(images))
+        got = dg.check_permutation(cg, L, rho, params).witnesses_a
+        assert list(got) == table_condition_a(cg, dedup6(label), L, rho, gs)
+
+
+def test_q10_sparse_lists_generate_and_validate_without_tables():
+    cg = dg.hypercube(10)
+    L = dg.generate_sparse(cg, Fraction(1, 10), 0)
+    assert L.total_entries() == 100
+    assert dg.validate_beta_sparse(cg, L, Fraction(1, 10)).ok

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsgraph as dg
-from dsgraph.graph_core import are_edge_disjoint
+from tests.conftest import are_edge_disjoint, vertex_used_counts
 
 ARTIFACTS = Path(__file__).resolve().parent / "artifacts" / "distance2_exhaustion"
 
@@ -122,7 +122,7 @@ def test_construct_swap_plan_shared_partner_selection(k44):
     assert [(c.z, c.t) for c in plan.cycles] == [(2, 6), (3, 7)]
     assert are_edge_disjoint(plan.cycles)
     assert dg.verify_solution(k44, final, L)
-    assert all(n == 2 for n in plan.vertex_used_counts(k44.graph).values())
+    assert all(n == 2 for n in vertex_used_counts(plan, k44.graph).values())
 
 
 def test_construct_swap_plan_stuck_when_nothing_allowed(k44):

@@ -7,9 +7,9 @@ no edge wears a forbidden color. Exact backtracking oracles and
 arbitrary-precision threshold checks audit the fast path.
 """
 
-from .bounds import (BoundReport, EULER_E, beta_threshold, default_params,
-                     fixed_ratio_constants, list_length_feasible,
-                     permutation_union_bound, swap_choice_margin)
+from . import bounds
+from .bounds import (BoundReport, beta_threshold, default_params, fixed_ratio_constants,
+                     list_length_feasible, permutation_union_bound, swap_choice_margin)
 from .constructors import (CayleySpec, ColoredGraph, CyclicProduct, MulTable,
                            cartesian_product, cayley_abelian, cayley_involutions,
                            complete_bipartite_pow2, element_order, hypercube,
@@ -37,3 +37,10 @@ from .solver import (Exhaustive, FailureReport, Permutation, PermutationCheck,
                      solve_distance2, solve_sparse, swap_blockers, verify_solution)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Re-export bounds.EULER_E, which loads mpmath, only when it is read."""
+    if name == "EULER_E":
+        return bounds.EULER_E
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,7 +4,9 @@ Everything numeric runs in arbitrary-precision binary floating point (mpmath)
 with a 256-bit mantissa, because the interesting list-sparsity thresholds sit
 at exponents like 2**-651 where hardware floats are useless. Inputs that are
 exactly representable (integers, powers of two, rationals) keep exact values
-through the computation, so boundary cases compare exactly.
+through the computation, so boundary cases compare exactly. mpmath loads on
+the first bound computed, not on import, so the rest of the package runs
+without it.
 """
 
 from __future__ import annotations
@@ -12,15 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
 from .errors import DegenerateTau, HypothesisViolated
 from .solver import SolverParams
 
 PRECISION_BITS = 256
 
-# Euler's number. Every use in this package reads it from this name.
-EULER_E = mp.e
+
+def __getattr__(name: str):
+    """Serve EULER_E, Euler's number (mpmath's mp.e), without importing mpmath early."""
+    if name == "EULER_E":
+        from mpmath import mp
+        return mp.e
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,7 @@ class BoundReport:
 
 def _log2(x):
     """log2 of a positive number; exact for powers of two and their ratios."""
+    from mpmath import mp
     if isinstance(x, Fraction):
         return _log2(x.numerator) - _log2(x.denominator)
     if isinstance(x, int):
@@ -48,6 +54,7 @@ def _log2(x):
 
 
 def _to_mpf(x):
+    from mpmath import mp
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
     return mp.mpf(x)
@@ -59,6 +66,7 @@ def _exactify(x):
         return Fraction(x)
     if isinstance(x, Fraction):
         return x
+    from mpmath import mp
     return mp.mpf(x)
 
 
@@ -82,6 +90,7 @@ def beta_threshold(n: int, d: int, s: int):
     """
     if n < 1 or d < 1 or s < 1:
         raise ValueError("n, d, s must be positive")
+    from mpmath import mp
     with mp.workprec(PRECISION_BITS):
         coeff = Fraction(512 * d, s * s)
         return mp.mpf(-11) + _log2(s) - _log2(d) - _to_mpf(coeff) * _log2(2 * n)
@@ -113,8 +122,9 @@ def permutation_union_bound(n: int, d: int, s: int, beta, gamma, tau) -> BoundRe
         else _to_mpf(tau) - 2 * _to_mpf(beta)
     if not diff > 0:
         raise DegenerateTau(f"need tau > 2*beta, got tau={tau}, beta={beta}")
+    from mpmath import mp
     with mp.workprec(PRECISION_BITS):
-        log2_e = mp.log(EULER_E, 2)
+        log2_e = mp.log(mp.e, 2)
         if beta == 0:
             t1_log2 = t2_log2 = mp.ninf
             term1 = term2 = mp.mpf(0)
@@ -207,6 +217,7 @@ def list_length_feasible(n: int, d: int, s: int, c, kind: str) -> bool:
     if s < 11:
         raise HypothesisViolated(f"list-length checks assume s >= 11, got {s}")
     c = _exactify(c)
+    from mpmath import mp
     with mp.workprec(PRECISION_BITS):
         if kind == "constant":
             if not c > 0:

@@ -16,8 +16,6 @@ import sys
 import time
 from fractions import Fraction
 
-from mpmath import mp
-
 from . import bounds as bounds_mod
 from .constructors import (CayleySpec, CyclicProduct, cartesian_product, cayley_abelian,
                            cayley_involutions, complete_bipartite_pow2, hypercube,
@@ -58,6 +56,7 @@ def _frac_str(x: Fraction) -> str:
 
 
 def _mpf_str(x) -> str:
+    from mpmath import mp
     return mp.nstr(x, 30)
 
 
@@ -259,6 +258,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from mpmath import mp
     n, d, s = args.n, args.d, args.s
     threshold = bounds_mod.beta_threshold(n, d, s)
     info: dict = {"n": n, "d": d, "s": s,

@@ -44,12 +44,15 @@ class ColoredGraph:
         return self.s_measured >= self.s_claimed
 
 
-def _certify(graph: Graph, colors: tuple[int, ...], d: int, s_claimed: int,
+def _certify(graph: Graph, colors: tuple[int, ...], d: int, s_claimed: int | None,
              family: dict, strict: bool = True) -> ColoredGraph:
+    """Check properness and measure s; a claim of None claims the measured value."""
     coloring = EdgeColoring(colors, d)
     if not is_proper(graph, coloring):
         raise CertificationFailed(f"{family.get('name')}: constructed coloring is not proper")
     s_measured = compute_s(graph, coloring)
+    if s_claimed is None:
+        s_claimed = s_measured
     if s_measured < s_claimed:
         if strict:
             raise CertificationFailed(

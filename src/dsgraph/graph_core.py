@@ -25,8 +25,13 @@ names the anchors whose count exceeds a cap, one per class of equal W_t.
 A proper coloring makes 4-cycle enumeration cheap: for an edge uv of color a
 and any other color c there is at most one c-colored edge at v (to some z) and
 at most one at u (to some t), and uvzt is a two-colored 4-cycle exactly when
-the partner edge zt exists and carries color a. That observation drives
-``two_colored_cycles_through`` and gives it O(d) work per edge.
+the partner edge zt exists and carries color a. ``color_table`` lays those
+edges out as one list per vertex, indexed by color 0..d, with -1 where a
+vertex has no edge of that color, so a candidate costs two list reads, and
+the far end of an edge (x, y) at v is x + y - v.
+``two_colored_cycles_through`` builds a ``FourCycle`` per cycle in O(d) work
+per edge; ``compute_s`` runs the same test inline and only counts, so
+certifying s builds no objects.
 """
 
 from __future__ import annotations
@@ -305,18 +310,23 @@ def is_proper(g: Graph, f: EdgeColoring) -> bool:
     return properness_witness(g, f) is None
 
 
-def color_table(g: Graph, f: EdgeColoring) -> list[dict[int, int]]:
-    """Per-vertex map color -> incident edge index (last writer wins on improper input)."""
-    table: list[dict[int, int]] = [{} for _ in range(g.n)]
+def color_table(g: Graph, f: EdgeColoring) -> list[list[int]]:
+    """Per vertex, the incident edge of each color 0..d, -1 where there is none.
+
+    ``table[w][c]`` is the edge of color c at w; on improper input the last
+    edge in edge order wins.
+    """
+    colors = f.colors
+    table = [[-1] * (f.d + 1) for _ in range(g.n)]
     for e, (u, v) in enumerate(g.edges):
-        c = f[e]
+        c = colors[e]
         table[u][c] = e
         table[v][c] = e
     return table
 
 
 def two_colored_cycles_through(g: Graph, f: EdgeColoring, e: int,
-                               table: list[dict[int, int]] | None = None) -> tuple[FourCycle, ...]:
+                               table: list[list[int]] | None = None) -> tuple[FourCycle, ...]:
     """All two-colored 4-cycles through e under f, in ascending second-color order.
 
     Requires f proper on the edges it touches; properness guarantees each
@@ -326,22 +336,26 @@ def two_colored_cycles_through(g: Graph, f: EdgeColoring, e: int,
     """
     if table is None:
         table = color_table(g, f)
-    u, v = g.edges[e]
-    a = f[e]
+    edges, colors, index = g.edges, f.colors, g.edge_index
+    u, v = edges[e]
+    a = colors[e]
+    at_u, at_v = table[u], table[v]
     out = []
     for c in range(1, f.d + 1):
         if c == a:
             continue
-        ez = table[v].get(c)
-        et = table[u].get(c)
-        if ez is None or et is None:
+        ez = at_v[c]
+        et = at_u[c]
+        if ez < 0 or et < 0:
             continue
-        z = g.other_endpoint(ez, v)
-        t = g.other_endpoint(et, u)
+        x, y = edges[ez]
+        z = x + y - v
+        x, y = edges[et]
+        t = x + y - u
         if z == t:
             continue
-        partner = g.edge_index.get((z, t) if z < t else (t, z))
-        if partner is None or f[partner] != a:
+        partner = index.get((z, t) if z < t else (t, z))
+        if partner is None or colors[partner] != a:
             continue
         out.append(FourCycle(u, v, z, t, e, ez, partner, et, a, c))
     return tuple(out)
@@ -352,11 +366,35 @@ def compute_s(g: Graph, f: EdgeColoring) -> int:
 
     The certified s of a colored graph: every edge lies in at least s-1
     two-colored 4-cycles. Equals 1 on 4-cycle-free graphs; never exceeds d.
+    Counts with the test of ``two_colored_cycles_through``, inline.
     """
     if g.m == 0:
         return 1
     table = color_table(g, f)
-    best = min(len(two_colored_cycles_through(g, f, e, table)) for e in range(g.m))
+    edges, colors, index = g.edges, f.colors, g.edge_index
+    best = f.d  # no edge has more than d cycles, and m >= 1
+    for e, (u, v) in enumerate(edges):
+        a = colors[e]
+        at_u, at_v = table[u], table[v]
+        count = 0
+        for c in range(1, f.d + 1):
+            if c == a:
+                continue
+            ez = at_v[c]
+            et = at_u[c]
+            if ez < 0 or et < 0:
+                continue
+            x, y = edges[ez]
+            z = x + y - v
+            x, y = edges[et]
+            t = x + y - u
+            if z == t:
+                continue
+            partner = index.get((z, t) if z < t else (t, z))
+            if partner is not None and colors[partner] == a:
+                count += 1
+        if count < best:
+            best = count
     return 1 + best
 
 

@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 
 from .constructors import ColoredGraph, _certify
 from .errors import InvalidInstance
-from .graph_core import EdgeColoring, Graph, compute_s
+from .graph_core import EdgeColoring, Graph
+# not called here; bound because perfbench/tracing.py wraps it by name
+from .graph_core import compute_s  # noqa: F401
 from .list_assignments import ListAssignment
 
 FORMAT_TAG = "dsgraph-v1"
@@ -49,14 +51,12 @@ def to_colored_graph(inst: Instance) -> ColoredGraph:
 
     A stored claim above the recomputed value triggers a warning rather than
     an error, since files may describe graphs whose claims were already
-    flagged when they were built.
+    flagged when they were built. A file without a claim claims the measured
+    value, so the census runs once.
     """
     if inst.coloring is None:
         raise InvalidInstance("coloring: required to rebuild a colored graph")
-    claim = inst.s_claimed
-    if claim is None:
-        claim = compute_s(inst.graph, inst.coloring)
-    return _certify(inst.graph, inst.coloring.colors, inst.d, claim,
+    return _certify(inst.graph, inst.coloring.colors, inst.d, inst.s_claimed,
                     dict(inst.family), strict=False)
 
 

@@ -1,6 +1,10 @@
 """Arbitrary-precision feasibility arithmetic for the avoidance guarantees."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -12,6 +16,21 @@ from dsgraph.bounds import PRECISION_BITS
 def test_euler_constant_single_home():
     assert mp.nstr(dg.EULER_E, 16) == "2.718281828459045"
     assert PRECISION_BITS == 256
+
+
+def test_import_leaves_mpmath_unloaded_until_a_bound_needs_it():
+    src = str(Path(dg.__file__).resolve().parent.parent)
+    code = (
+        "import sys, dsgraph, dsgraph.cli\n"
+        "print('mpmath' in sys.modules)\n"
+        "from mpmath import mp\n"
+        "print(mp.nstr(dsgraph.EULER_E, 16), mp.nstr(dsgraph.bounds.EULER_E, 16))\n"
+        "print(hasattr(dsgraph, 'EULER_F'), hasattr(dsgraph.bounds, 'EULER_F'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n") == ["False", "2.718281828459045 2.718281828459045",
+                                "False False", ""]
 
 
 def test_beta_threshold_exact_at_powers_of_two():

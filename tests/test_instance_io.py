@@ -77,13 +77,24 @@ def test_to_colored_graph_requires_coloring(q3):
         dg.to_colored_graph(inst)
 
 
-def test_missing_s_block_is_recomputed(q3, tmp_path):
+def test_missing_s_block_is_recomputed(q3, monkeypatch):
     data = to_json_dict(dg.from_colored_graph(q3))
     del data["s"]
     inst = from_json_dict(data)
     assert inst.s_claimed is None
+    calls = []
+
+    def counting(g, f):
+        calls.append(g)
+        return dg.compute_s(g, f)
+
+    # every module namespace that binds compute_s, so no census goes uncounted
+    for module in (dg.constructors, dg.instance_io):
+        monkeypatch.setattr(module, "compute_s", counting)
     cg = dg.to_colored_graph(inst)
-    assert cg.s_measured == 3
+    assert len(calls) == 1
+    assert (cg.s_claimed, cg.s_measured) == (3, 3)
+    assert cg.family == q3.family
 
 
 @pytest.mark.parametrize("mutate,message", [

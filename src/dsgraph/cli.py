@@ -239,6 +239,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _require(args.budget >= 0, "--budget must be >= 0")
     inst = load_instance(args.file)
     lists = inst.lists if inst.lists is not None else EMPTY
     try:

@@ -29,9 +29,11 @@ the partner edge zt exists and carries color a. ``color_table`` lays those
 edges out as one list per vertex, indexed by color 0..d, with -1 where a
 vertex has no edge of that color, so a candidate costs two list reads, and
 the far end of an edge (x, y) at v is x + y - v.
-``two_colored_cycles_through`` builds a ``FourCycle`` per cycle in O(d) work
-per edge; ``compute_s`` runs the same test inline and only counts, so
-certifying s builds no objects.
+That cycle test lives in one place, ``_cycle_tuples``, which returns plain
+(c, e_vz, e_tu, partner) tuples in O(d) work per edge:
+``two_colored_cycles_through`` wraps them into ``FourCycle``s, and phase one's
+checker reads them raw. ``compute_s`` repeats the test inline and only
+counts, so certifying s builds no objects.
 """
 
 from __future__ import annotations
@@ -325,23 +327,19 @@ def color_table(g: Graph, f: EdgeColoring) -> list[list[int]]:
     return table
 
 
-def two_colored_cycles_through(g: Graph, f: EdgeColoring, e: int,
-                               table: list[list[int]] | None = None) -> tuple[FourCycle, ...]:
-    """All two-colored 4-cycles through e under f, in ascending second-color order.
+def _cycle_tuples(g: Graph, colors, d: int, e: int,
+                  table: list[list[int]]) -> list[tuple[int, int, int, int]]:
+    """(c, e_vz, e_tu, partner) for each two-colored 4-cycle through e, ascending c.
 
-    Requires f proper on the edges it touches; properness guarantees each
-    second color yields at most one candidate and distinct cycles get
-    distinct second colors. Pass a precomputed ``color_table`` when calling
-    in a loop.
+    The one cycle test: the c-colored edges at v and u must both exist, end in
+    distinct vertices z and t, and zt must exist and carry e's color.
     """
-    if table is None:
-        table = color_table(g, f)
-    edges, colors, index = g.edges, f.colors, g.edge_index
+    edges, index = g.edges, g.edge_index
     u, v = edges[e]
     a = colors[e]
     at_u, at_v = table[u], table[v]
     out = []
-    for c in range(1, f.d + 1):
+    for c in range(1, d + 1):
         if c == a:
             continue
         ez = at_v[c]
@@ -357,7 +355,30 @@ def two_colored_cycles_through(g: Graph, f: EdgeColoring, e: int,
         partner = index.get((z, t) if z < t else (t, z))
         if partner is None or colors[partner] != a:
             continue
-        out.append(FourCycle(u, v, z, t, e, ez, partner, et, a, c))
+        out.append((c, ez, et, partner))
+    return out
+
+
+def two_colored_cycles_through(g: Graph, f: EdgeColoring, e: int,
+                               table: list[list[int]] | None = None) -> tuple[FourCycle, ...]:
+    """All two-colored 4-cycles through e under f, in ascending second-color order.
+
+    Requires f proper on the edges it touches; properness guarantees each
+    second color yields at most one candidate and distinct cycles get
+    distinct second colors. Pass a precomputed ``color_table`` when calling
+    in a loop.
+    """
+    if table is None:
+        table = color_table(g, f)
+    edges = g.edges
+    u, v = edges[e]
+    a = f.colors[e]
+    out = []
+    for c, ez, et, partner in _cycle_tuples(g, f.colors, f.d, e, table):
+        x, y = edges[ez]
+        z = x + y - v
+        x, y = edges[et]
+        out.append(FourCycle(u, v, z, x + y - u, e, ez, partner, et, a, c))
     return tuple(out)
 
 
@@ -366,7 +387,7 @@ def compute_s(g: Graph, f: EdgeColoring) -> int:
 
     The certified s of a colored graph: every edge lies in at least s-1
     two-colored 4-cycles. Equals 1 on 4-cycle-free graphs; never exceeds d.
-    Counts with the test of ``two_colored_cycles_through``, inline.
+    Counts with the test of ``_cycle_tuples``, inline.
     """
     if g.m == 0:
         return 1

@@ -101,7 +101,7 @@ def from_json_dict(data) -> Instance:
         raise _err("edges: must be sorted lexicographically")
     if len(set(edges)) != len(edges):
         raise _err("edges: duplicates are not allowed")
-    graph = Graph.from_edges(n, edges)
+    graph = Graph(n, tuple(edges))  # checked above: canonical, sorted, unique
     m = graph.m
 
     coloring = None

@@ -30,11 +30,19 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
 
     Backtracking over edges, always branching on the edge with the fewest
     colors still available (forbidden list removed, colors used at either
-    endpoint removed), colors in ascending order. Bitmasks keep the inner
-    loop cheap, and an explicit stack keeps the depth (up to m) off the
-    interpreter's recursion limit. Raises OracleBudgetExceeded after
-    ``limit`` assignment attempts.
+    endpoint removed), colors in ascending order. Ties go to the first such
+    edge in the iteration order of one ``uncolored`` set, which a frame
+    leaves when pushed and rejoins when popped, and a scan stops at the first
+    edge with one color left. That set order, not ascending edge id, fixes
+    the node count, witness and budget point that the recursive reference in
+    the tests pins. Bitmasks keep the inner loop cheap, and an explicit stack
+    keeps the depth (up to m) off the interpreter's recursion limit.
+    Raises OracleBudgetExceeded after ``limit`` assignment attempts, and
+    ValueError for a negative ``limit``.
     """
+    if limit < 0:
+        raise ValueError(f"node budget must be nonnegative, got {limit}")
+    edges = g.edges
     full = (1 << d) - 1
     allowed = [full] * g.m
     for e, colors in L.items():
@@ -43,42 +51,38 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
             if 1 <= c <= d:
                 mask &= ~(1 << (c - 1))
         allowed[e] = mask
-    vertex_used = [0] * g.n
+    used = [0] * g.n
     assignment = [0] * g.m
     uncolored = set(range(g.m))
     nodes = 0
 
-    def select() -> tuple[int, int] | None:
-        """The uncolored edge with the fewest available colors and those colors,
-        or None when some uncolored edge has none left."""
-        best, best_mask, best_count = -1, 0, d + 1
-        for e in uncolored:
-            u, v = g.edges[e]
-            mask = allowed[e] & ~vertex_used[u] & ~vertex_used[v]
-            count = mask.bit_count()
-            if count == 0:
-                return None
-            if count < best_count:
-                best, best_mask, best_count = e, mask, count
-                if count == 1:
-                    break
-        return best, best_mask
-
     # one frame per colored edge: [edge, colors not yet tried, color being tried]
     stack: list[list[int]] = []
     while uncolored:
-        choice = select()
-        if choice is not None:
-            uncolored.remove(choice[0])
-            stack.append([choice[0], choice[1], 0])
+        # the uncolored edge with the fewest available colors, or -1 when some has none
+        best, best_mask, best_count = -1, 0, d + 1
+        for e in uncolored:
+            u, v = edges[e]
+            mask = allowed[e] & ~(used[u] | used[v])
+            count = mask.bit_count()
+            if count < best_count:
+                if count == 0:
+                    best = -1
+                    break
+                best, best_mask, best_count = e, mask, count
+                if count == 1:
+                    break
+        if best >= 0:
+            uncolored.remove(best)
+            stack.append([best, best_mask, 0])
         # move the deepest frame to its next color, unwinding frames that have none
         while stack:
             frame = stack[-1]
             e, mask, bit = frame
-            u, v = g.edges[e]
+            u, v = edges[e]
             if bit:
-                vertex_used[u] &= ~bit
-                vertex_used[v] &= ~bit
+                used[u] &= ~bit
+                used[v] &= ~bit
             if mask:
                 bit = mask & -mask
                 frame[1], frame[2] = mask ^ bit, bit
@@ -86,8 +90,8 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
                 if nodes > limit:
                     raise OracleBudgetExceeded(nodes)
                 assignment[e] = bit.bit_length()
-                vertex_used[u] |= bit
-                vertex_used[v] |= bit
+                used[u] |= bit
+                used[v] |= bit
                 break
             assignment[e] = 0
             uncolored.add(e)

@@ -30,9 +30,9 @@ from .errors import (ColorOutOfRange, PermutationBudgetExceeded, PermutationNotF
                      SwapPlanStuck)
 # is_proper, swap_cycle and t_neighborhood are unused here but wrapped by
 # perfbench/tracing.py.
-from .graph_core import (EdgeColoring, FourCycle, Graph, apply_swaps, color_table,
-                         is_proper, properness_witness, standard_matchings, swap_cycle,
-                         t_neighborhood, two_colored_cycles_through)
+from .graph_core import (EdgeColoring, FourCycle, Graph, _cycle_tuples, apply_swaps,
+                         color_table, is_proper, properness_witness, standard_matchings,
+                         swap_cycle, t_neighborhood, two_colored_cycles_through)
 from .list_assignments import (ListAssignment, as_fraction, conflict_edges,
                                support_is_distance2_matching)
 
@@ -153,10 +153,15 @@ class _Checker:
 
     Cycle structure does not depend on the permutation (recoloring permutes
     cycle colors but not the cycles themselves), so the cycles through listed
-    edges are enumerated once under h, each handled from its least listed edge
-    and giving one row to each of its four edges; per trial only those rows
-    need a look. Condition (a) counts each matching's conflict edges per
-    anchor with ``Graph.crowded_anchors``. Integer counts are compared against
+    edges are enumerated once under h, as the raw tuples of
+    ``graph_core._cycle_tuples``. A cycle with no listed edge can never be
+    blocked and gives no rows. Every other cycle is handled once, from its
+    least listed edge (an edge with an empty list counts as listed), and
+    gives each of its four edges a row (own color - 1, other color - 1,
+    blocks own, blocks other). ``sensitive`` holds the rows per edge in
+    ascending edge order; for (c) a trial reads nothing else. Condition (a)
+    counts each matching's conflict edges per anchor with
+    ``Graph.crowded_anchors``. Integer counts are compared against
     floor(gamma*s) and floor(tau*s), which decides exactly as the Fractions
     would.
     """
@@ -166,26 +171,27 @@ class _Checker:
         self.ts = math.floor(params.tau_s)
         g, h = cg.graph, cg.coloring
         self.graph, self.edges = g, g.edges
-        self.lists = dict(L.items())
-        self.supp = sorted(self.lists)
-        self.h_colors = h.colors
+        self.lists = lists = dict(L.items())
+        self.supp = sorted(lists)
+        self.h_colors = colors = h.colors
         table = color_table(g, h)
-        # edge -> [(own color - 1, other color - 1, blocks own, blocks other)];
-        # a cycle with no listed edge can never be blocked and has no rows
+        get = lists.get
         rows: defaultdict[int, list] = defaultdict(list)
-        done: set[int] = set()  # listed edges whose cycles already gave their rows
         for e in self.supp:
-            for cyc in two_colored_cycles_through(g, h, e, table):
-                if not done.isdisjoint(cyc.edge_ids):
+            ia = colors[e] - 1
+            own = lists[e]
+            for c, ez, et, partner in _cycle_tuples(g, colors, h.d, e, table):
+                # an earlier listed edge of this cycle already gave its rows
+                if ((ez < e and ez in lists) or (et < e and et in lists)
+                        or (partner < e and partner in lists)):
                     continue
-                ba, bb = swap_blockers(L, cyc)
-                ia, ib = cyc.color_a - 1, cyc.color_b - 1
-                row_a, row_b = (ia, ib, ba, bb), (ib, ia, bb, ba)
-                rows[cyc.e_uv].append(row_a)
-                rows[cyc.e_zt].append(row_a)
-                rows[cyc.e_vz].append(row_b)
-                rows[cyc.e_tu].append(row_b)
-            done.add(e)
+                ba, bb = _blockers(get(ez, _NO_COLORS), get(et, _NO_COLORS),
+                                   own, get(partner, _NO_COLORS))
+                row_a, row_b = (ia, c - 1, ba, bb), (c - 1, ia, bb, ba)
+                rows[e].append(row_a)
+                rows[partner].append(row_a)
+                rows[ez].append(row_b)
+                rows[et].append(row_b)
         self.sensitive = sorted(rows.items())
 
     def accepts(self, rho: Permutation) -> bool:
@@ -293,8 +299,14 @@ def find_permutation(cg: ColoredGraph, L: ListAssignment, params: SolverParams,
 def swap_blockers(L: ListAssignment, cyc: FourCycle) -> tuple[frozenset, frozenset]:
     """(blocks_a, blocks_b): the swap moves the a-color onto vz and tu, whose lists
     block it, and the b-color onto uv and zt, whose lists block it."""
-    a1, a2 = L.lists.get(cyc.e_vz, _NO_COLORS), L.lists.get(cyc.e_tu, _NO_COLORS)
-    b1, b2 = L.lists.get(cyc.e_uv, _NO_COLORS), L.lists.get(cyc.e_zt, _NO_COLORS)
+    get = L.lists.get
+    return _blockers(get(cyc.e_vz, _NO_COLORS), get(cyc.e_tu, _NO_COLORS),
+                     get(cyc.e_uv, _NO_COLORS), get(cyc.e_zt, _NO_COLORS))
+
+
+def _blockers(a1: frozenset, a2: frozenset, b1: frozenset,
+              b2: frozenset) -> tuple[frozenset, frozenset]:
+    """``swap_blockers`` from the four lists: (lists of vz and tu, lists of uv and zt)."""
     # pass a list through when its partner is empty: no new set for most cycles
     return (a1 | a2 if a1 and a2 else a1 or a2, b1 | b2 if b1 and b2 else b1 or b2)
 

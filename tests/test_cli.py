@@ -185,6 +185,15 @@ def test_oracle_budget_is_undecided(tmp_path, capsys):
     assert "undecided" in err
 
 
+def test_oracle_negative_budget_is_usage_error(tmp_path, capsys):
+    f = str(tmp_path / "q3.json")
+    run(capsys, "construct", "--family", "hypercube", "--d", "3", "--out", f)
+    code, out, err = run(capsys, "oracle", f, "--budget", "-5")
+    assert code == 2
+    assert err == "error: --budget must be >= 0\n"
+    assert out == ""
+
+
 def test_oracle_budget_on_q8_is_undecided_not_a_crash(tmp_path, capsys):
     # the search is m = 1024 edges deep here
     f = str(tmp_path / "q8.json")

@@ -102,6 +102,7 @@ def test_missing_s_block_is_recomputed(q3, monkeypatch):
     (lambda d: d.update(n=True), "nonnegative integer"),
     (lambda d: d.update(edges=[[0, 3], [0, 1], [1, 2], [2, 3]]), "sorted"),
     (lambda d: d["edges"].__setitem__(0, [1, 0]), "canonical"),
+    (lambda d: d.update(edges=[[0, 1], [0, 1], [0, 3], [1, 2]]), "duplicates"),
     (lambda d: d.update(coloring=[1, 2]), "length"),
     (lambda d: d.update(coloring=[1, 2, 2, 5]), "colors must be integers"),
     (lambda d: d.update(lists={"9": [1]}), "not a valid edge index"),

@@ -42,6 +42,16 @@ def test_oracle_budget_raises(k44):
     assert ei.value.nodes_explored > 3
 
 
+def test_oracle_rejects_negative_budget(q3):
+    # a negative budget used to read as "undecided after 1 node"
+    with pytest.raises(ValueError, match="nonnegative"):
+        dg.oracle_avoidable(q3.graph, 3, dg.EMPTY, limit=-5)
+    # zero admits no node: Q3 needs one, the empty graph none
+    with pytest.raises(dg.OracleBudgetExceeded):
+        dg.oracle_avoidable(q3.graph, 3, dg.EMPTY, limit=0)
+    assert dg.oracle_avoidable(dg.Graph(0, ()), 0, dg.EMPTY, limit=0).avoidable
+
+
 def recursive_oracle(g, d, L, limit):
     """The recursive backtracking ``oracle_avoidable`` replaced, kept as the
     reference: (avoidable, colors or None, nodes), or ("budget", nodes)."""
@@ -107,15 +117,20 @@ def iterative_oracle(g, d, L, limit):
     return res.avoidable, res.witness.colors if res.avoidable else None, res.nodes_explored
 
 
+# Q6 and K16,16 are the largest shapes the benchmark's oracle group runs
+# (m = 192 and 256, so the reference recurses at most 256 deep)
 ORACLE_GRAPHS = {"Q3": dg.hypercube(3), "Q4": dg.hypercube(4), "Q5": dg.hypercube(5),
-                 "K4,4": dg.complete_bipartite_pow2(2), "K8,8": dg.complete_bipartite_pow2(3)}
+                 "Q6": dg.hypercube(6), "K4,4": dg.complete_bipartite_pow2(2),
+                 "K8,8": dg.complete_bipartite_pow2(3),
+                 "K16,16": dg.complete_bipartite_pow2(4)}
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(sorted(ORACLE_GRAPHS)), st.booleans(),
        st.integers(min_value=0, max_value=10 ** 6))
 def test_oracle_matches_recursive_reference(name, distance2, seed):
-    # same branching order, so the same witness, node count and budget point
+    # same branching order, set-order ties included, so the same witness,
+    # node count and budget point
     cg = ORACLE_GRAPHS[name]
     if distance2:
         L = dg.generate_distance2(cg, seed, cg.s_measured - 1)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OracleBudgetExceeded
+from . import graph_core
+from .errors import ColorOutOfRange, OracleBudgetExceeded, ResourceLimit
 from .graph_core import EdgeColoring, Graph
 from .list_assignments import ListAssignment
 
@@ -32,72 +33,122 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
     colors still available (forbidden list removed, colors used at either
     endpoint removed), colors in ascending order. Ties go to the first such
     edge in the iteration order of one ``uncolored`` set, which a frame
-    leaves when pushed and rejoins when popped, and a scan stops at the first
-    edge with one color left. That set order, not ascending edge id, fixes
-    the node count, witness and budget point that the recursive reference in
-    the tests pins. Bitmasks keep the inner loop cheap, and an explicit stack
-    keeps the depth (up to m) off the interpreter's recursion limit.
-    Raises OracleBudgetExceeded after ``limit`` assignment attempts, and
-    ValueError for a negative ``limit``.
+    leaves when pushed and rejoins when popped, and the first uncolored edge
+    in that order with at most one color left is taken at once (a dead end
+    when it has none). That set order, not ascending edge id, fixes the node
+    count, witness and budget point that the references in the tests pin.
+
+    No edge's count is computed on its own. ``avail[c]`` is the bitmask of
+    the edges where color c + 1 is allowed and free at both ends, and
+    ``planes`` is a bit-sliced binary counter over all edges, P =
+    max(1, d.bit_length()) planes wide: at every search node, bit i of the
+    number of colors in ``avail`` at edge e is bit e of ``planes[i]``.
+    Coloring uv with c removes c from the edges in
+    ``avail[c] & (E_0(u) | E_0(v))``, and one borrow chain subtracts that
+    mask from the counter into a new plane list. The frame keeps the
+    previous ``avail[c]`` and plane list, so undoing restores both by
+    reference. The uncolored edges with at most one color left, or else
+    those with the fewest, then come from a few whole-graph ANDs; a single
+    such edge is read off its bit, and only among several is the set walked
+    to the first of them. An explicit stack keeps the depth (up to m) off
+    the interpreter's recursion limit.
+
+    The frames hold up to m * (P + 1) ints of m bits, so a graph whose worst
+    case, m * (P + 1) * m / 8 bytes, exceeds
+    ``graph_core.EDGE_BALL_BYTES_CAP`` raises ResourceLimit before the
+    search: Q11 and K64,64 run, Q12 and K128,128 are refused. Raises
+    ColorOutOfRange for a list on an edge that does not exist (colors
+    outside 1..d are ignored, as forbidding nothing), OracleBudgetExceeded
+    after ``limit`` assignment attempts, and ValueError for a negative
+    ``limit``.
     """
     if limit < 0:
         raise ValueError(f"node budget must be nonnegative, got {limit}")
-    edges = g.edges
+    m = g.m
+    width = max(1, d.bit_length())
+    frame_bytes = m * (width + 1) * m // 8
+    if frame_bytes > graph_core.EDGE_BALL_BYTES_CAP:
+        raise ResourceLimit(f"oracle frames need up to {frame_bytes} bytes, "
+                            f"above cap {graph_core.EDGE_BALL_BYTES_CAP}")
     full = (1 << d) - 1
-    allowed = [full] * g.m
+    allowed = [full] * m
+    forbidden = [0] * d
     for e, colors in L.items():
-        mask = full
+        if not 0 <= e < m:
+            raise ColorOutOfRange(f"list attached to nonexistent edge {e}")
         for c in colors:
             if 1 <= c <= d:
-                mask &= ~(1 << (c - 1))
-        allowed[e] = mask
+                allowed[e] &= ~(1 << (c - 1))
+                forbidden[c - 1] |= 1 << e
+    unc = (1 << m) - 1
+    avail = [unc ^ f for f in forbidden]
+    planes = [0] * width
+    for carry in avail:
+        for i, p in enumerate(planes):
+            planes[i], carry = p ^ carry, p & carry
+    edges = g.edges
+    balls = g.edge_balls(0)
     used = [0] * g.n
-    assignment = [0] * g.m
-    uncolored = set(range(g.m))
+    assignment = [0] * m
+    uncolored = set(range(m))
     nodes = 0
 
-    # one frame per colored edge: [edge, colors not yet tried, color being tried]
-    stack: list[list[int]] = []
-    while uncolored:
-        # the uncolored edge with the fewest available colors, or -1 when some has none
-        best, best_mask, best_count = -1, 0, d + 1
-        for e in uncolored:
+    # one frame per colored edge, pushed when its color is assigned:
+    # (edge, colors not yet tried, its color's bit, that color's avail and the planes before)
+    stack: list[tuple] = []
+    while unc:
+        high = 0
+        for p in planes[1:]:
+            high |= p
+        # the uncolored edges with at most one color left, else those with the fewest
+        pick = unc & ~high
+        if not pick:
+            pick = unc
+            for p in reversed(planes):
+                if pick & ~p:
+                    pick &= ~p
+        if pick & (pick - 1):
+            for e in uncolored:
+                if pick >> e & 1:
+                    break
+        else:
+            e = pick.bit_length() - 1
+        if (planes[0] | high) >> e & 1:
+            uncolored.remove(e)
+            unc ^= 1 << e
             u, v = edges[e]
             mask = allowed[e] & ~(used[u] | used[v])
-            count = mask.bit_count()
-            if count < best_count:
-                if count == 0:
-                    best = -1
-                    break
-                best, best_mask, best_count = e, mask, count
-                if count == 1:
-                    break
-        if best >= 0:
-            uncolored.remove(best)
-            stack.append([best, best_mask, 0])
-        # move the deepest frame to its next color, unwinding frames that have none
-        while stack:
-            frame = stack[-1]
-            e, mask, bit = frame
-            u, v = edges[e]
-            if bit:
+        else:
+            # a dead end: pop and undo frames until one has a color left to try
+            while True:
+                if not stack:
+                    return OracleResult(False, None, nodes)
+                e, mask, bit, before, planes = stack.pop()
+                u, v = edges[e]
                 used[u] &= ~bit
                 used[v] &= ~bit
-            if mask:
-                bit = mask & -mask
-                frame[1], frame[2] = mask ^ bit, bit
-                nodes += 1
-                if nodes > limit:
-                    raise OracleBudgetExceeded(nodes)
-                assignment[e] = bit.bit_length()
-                used[u] |= bit
-                used[v] |= bit
-                break
-            assignment[e] = 0
-            uncolored.add(e)
-            stack.pop()
-        if not stack:
-            return OracleResult(False, None, nodes)
+                avail[bit.bit_length() - 1] = before
+                if mask:
+                    break
+                uncolored.add(e)
+                unc |= 1 << e
+        bit = mask & -mask
+        nodes += 1
+        if nodes > limit:
+            raise OracleBudgetExceeded(nodes)
+        c = bit.bit_length()
+        before = avail[c - 1]
+        stack.append((e, mask ^ bit, bit, before, planes))
+        assignment[e] = c
+        used[u] |= bit
+        used[v] |= bit
+        lost = before & (balls[u] | balls[v])
+        avail[c - 1] = before ^ lost
+        counted = []
+        for p in planes:
+            counted.append(p ^ lost)
+            lost &= ~p
+        planes = counted
     return OracleResult(True, EdgeColoring(tuple(assignment), d), nodes)
 
 

@@ -204,6 +204,17 @@ def test_oracle_budget_on_q8_is_undecided_not_a_crash(tmp_path, capsys):
     assert "undecided" in err and "Traceback" not in err
 
 
+def test_oracle_reports_the_frame_byte_cap(tmp_path, capsys, monkeypatch):
+    f = str(tmp_path / "q3.json")
+    run(capsys, "construct", "--family", "hypercube", "--d", "3", "--out", f)
+    # Q3's frames need 12 * 3 * 12 / 8 = 54 bytes
+    monkeypatch.setattr(dg.graph_core, "EDGE_BALL_BYTES_CAP", 53)
+    code, out, err = run(capsys, "oracle", f)
+    assert code == 2
+    assert err.startswith("error:") and "above cap 53" in err
+    assert out == ""
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "analyze", "no-such-file.json")
     assert code == 2

@@ -1,5 +1,6 @@
 """Exact avoidability oracle and independent cycle census."""
 
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -108,8 +109,64 @@ def recursive_oracle(g, d, L, limit):
     return found, tuple(assignment) if found else None, nodes
 
 
-def iterative_oracle(g, d, L, limit):
-    """``oracle_avoidable`` in the reference's result shape."""
+def scan_oracle(g, d, L, limit):
+    """The explicit-stack search that scanned every uncolored edge's count per
+    node before the bit-sliced counters, kept as a second reference that no
+    recursion limit stops: the reference's result shape, any depth."""
+    full = (1 << d) - 1
+    allowed = [full] * g.m
+    for e, colors in L.items():
+        for c in colors:
+            if 1 <= c <= d:
+                allowed[e] &= ~(1 << (c - 1))
+    used = [0] * g.n
+    assignment = [0] * g.m
+    uncolored = set(range(g.m))
+    nodes = 0
+    stack = []
+    while uncolored:
+        best, best_mask, best_count = -1, 0, d + 1
+        for e in uncolored:
+            u, v = g.edges[e]
+            mask = allowed[e] & ~(used[u] | used[v])
+            count = mask.bit_count()
+            if count < best_count:
+                if count == 0:
+                    best = -1
+                    break
+                best, best_mask, best_count = e, mask, count
+                if count == 1:
+                    break
+        if best >= 0:
+            uncolored.remove(best)
+            stack.append([best, best_mask, 0])
+        while stack:
+            frame = stack[-1]
+            e, mask, bit = frame
+            u, v = g.edges[e]
+            if bit:
+                used[u] &= ~bit
+                used[v] &= ~bit
+            if mask:
+                bit = mask & -mask
+                frame[1], frame[2] = mask ^ bit, bit
+                nodes += 1
+                if nodes > limit:
+                    return "budget", nodes
+                assignment[e] = bit.bit_length()
+                used[u] |= bit
+                used[v] |= bit
+                break
+            assignment[e] = 0
+            uncolored.add(e)
+            stack.pop()
+        if not stack:
+            return False, None, nodes
+    return True, tuple(assignment), nodes
+
+
+def counter_oracle(g, d, L, limit):
+    """``oracle_avoidable`` in the references' result shape."""
     try:
         res = dg.oracle_avoidable(g, d, L, limit)
     except dg.OracleBudgetExceeded as exc:
@@ -117,12 +174,22 @@ def iterative_oracle(g, d, L, limit):
     return res.avoidable, res.witness.colors if res.avoidable else None, res.nodes_explored
 
 
-# Q6 and K16,16 are the largest shapes the benchmark's oracle group runs
-# (m = 192 and 256, so the reference recurses at most 256 deep)
+# The recursive reference recurses up to m deep, so it stops at K16,16
+# (m = 256). The benchmark's oracle group also runs Q7, and Q8 seeds 0 and
+# 10; those shapes, and K32,32 with its 6 counter planes, are compared with
+# the scanning reference instead.
 ORACLE_GRAPHS = {"Q3": dg.hypercube(3), "Q4": dg.hypercube(4), "Q5": dg.hypercube(5),
                  "Q6": dg.hypercube(6), "K4,4": dg.complete_bipartite_pow2(2),
                  "K8,8": dg.complete_bipartite_pow2(3),
                  "K16,16": dg.complete_bipartite_pow2(4)}
+DEEP_GRAPHS = {"Q7": dg.hypercube(7), "Q8": dg.hypercube(8),
+               "K32,32": dg.complete_bipartite_pow2(5)}
+
+
+def oracle_lists(cg, distance2, seed):
+    if distance2:
+        return dg.generate_distance2(cg, seed, cg.s_measured - 1)
+    return random_lists(cg.graph, cg.d, seed, 2)
 
 
 @settings(deadline=None, max_examples=60)
@@ -132,12 +199,94 @@ def test_oracle_matches_recursive_reference(name, distance2, seed):
     # same branching order, set-order ties included, so the same witness,
     # node count and budget point
     cg = ORACLE_GRAPHS[name]
-    if distance2:
-        L = dg.generate_distance2(cg, seed, cg.s_measured - 1)
-    else:
-        L = random_lists(cg.graph, cg.d, seed, 2)
-    assert iterative_oracle(cg.graph, cg.d, L, 3000) == \
+    L = oracle_lists(cg, distance2, seed)
+    assert counter_oracle(cg.graph, cg.d, L, 3000) == \
         recursive_oracle(cg.graph, cg.d, L, 3000)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(sorted(DEEP_GRAPHS)), st.booleans(),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_oracle_matches_scanning_reference_beyond_recursion_depth(name, distance2, seed):
+    cg = DEEP_GRAPHS[name]
+    L = oracle_lists(cg, distance2, seed)
+    assert counter_oracle(cg.graph, cg.d, L, 3000) == scan_oracle(cg.graph, cg.d, L, 3000)
+
+
+def test_oracle_pinned_benchmark_q8_instances_match_the_scan():
+    q8 = DEEP_GRAPHS["Q8"]
+    for seed in (0, 10):
+        L = dg.generate_distance2(q8, seed, q8.s_measured - 1)
+        assert counter_oracle(q8.graph, 8, L, 3000) == scan_oracle(q8.graph, 8, L, 3000)
+
+
+def test_oracle_plane_width_edge_cases():
+    # Q1 has d = 1 and one plane, Q2 d = 2 and two; every list assignment
+    for cg in (dg.hypercube(1), dg.hypercube(2)):
+        g, d = cg.graph, cg.d
+        subsets = [[c for c in range(1, d + 1) if k >> (c - 1) & 1] for k in range(1 << d)]
+        for choice in itertools.product(subsets, repeat=g.m):
+            L = dg.ListAssignment.from_dict(dict(enumerate(choice)))
+            got = counter_oracle(g, d, L, 100)
+            assert got == recursive_oracle(g, d, L, 100) == scan_oracle(g, d, L, 100)
+    # d = 0 leaves every edge without a color: decided at once, no node
+    path = dg.Graph(3, ((0, 1), (1, 2)))
+    res = dg.oracle_avoidable(path, 0, dg.EMPTY, limit=0)
+    assert (res.avoidable, res.witness, res.nodes_explored) == (False, None, 0)
+    assert scan_oracle(path, 0, dg.EMPTY, 0) == (False, None, 0)
+
+
+def test_oracle_rejects_lists_on_nonexistent_edges(q3):
+    # key -1 used to forbid colors on edge 11, key 12 raised a bare IndexError
+    for key in (-1, 12):
+        L = dg.ListAssignment.from_dict({key: [1, 2, 3]})
+        with pytest.raises(dg.ColorOutOfRange, match=f"nonexistent edge {key}"):
+            dg.oracle_avoidable(q3.graph, 3, L)
+
+
+def test_oracle_ignores_colors_outside_the_palette(q3):
+    # as the references do: a color no edge can take forbids nothing
+    L = dg.ListAssignment.from_dict({0: [0, 4, 9], 5: [-1]})
+    assert counter_oracle(q3.graph, 3, L, 3000) == \
+        counter_oracle(q3.graph, 3, dg.EMPTY, 3000) == recursive_oracle(q3.graph, 3, L, 3000)
+
+
+def frame_bytes(m, d):
+    return m * (max(1, d.bit_length()) + 1) * m // 8
+
+
+def test_oracle_refuses_frames_above_the_byte_cap_before_any_node(q3, monkeypatch):
+    size = frame_bytes(q3.graph.m, 3)
+    monkeypatch.setattr(dg.graph_core, "EDGE_BALL_BYTES_CAP", size - 1)
+    # limit=0 would raise OracleBudgetExceeded at the first node explored
+    with pytest.raises(dg.ResourceLimit, match="oracle frames"):
+        dg.oracle_avoidable(q3.graph, 3, dg.EMPTY, limit=0)
+    monkeypatch.setattr(dg.graph_core, "EDGE_BALL_BYTES_CAP", size)
+    assert dg.oracle_avoidable(q3.graph, 3, dg.EMPTY).avoidable
+
+
+def cube_graph(k):
+    """Q_k's graph without its coloring or certificate."""
+    return dg.Graph.from_edges(1 << k, [(v, v | 1 << i) for v in range(1 << k)
+                                        for i in range(k) if not v >> i & 1])
+
+
+def test_oracle_byte_cap_admits_q11_and_refuses_q12():
+    cap = dg.graph_core.EDGE_BALL_BYTES_CAP
+    for k, refused in ((11, False), (12, True)):
+        g = cube_graph(k)
+        assert (frame_bytes(g.m, k) > cap) == refused
+        with pytest.raises(dg.ResourceLimit if refused else dg.OracleBudgetExceeded):
+            dg.oracle_avoidable(g, k, dg.EMPTY, limit=0)
+    k128 = dg.Graph.from_edges(256, [(u, v) for u in range(128) for v in range(128, 256)])
+    with pytest.raises(dg.ResourceLimit):
+        dg.oracle_avoidable(k128, 128, dg.EMPTY, limit=0)
+
+
+def test_oracle_byte_cap_admits_the_benchmark_shapes():
+    for cg in DEEP_GRAPHS.values():
+        with pytest.raises(dg.OracleBudgetExceeded):
+            dg.oracle_avoidable(cg.graph, cg.d, dg.EMPTY, limit=0)
 
 
 def test_oracle_budget_not_recursion_limit_on_q8():

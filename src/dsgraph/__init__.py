@@ -8,8 +8,8 @@ arbitrary-precision threshold checks audit the fast path.
 """
 
 from . import bounds
-from .bounds import (BoundReport, beta_threshold, default_params, fixed_ratio_constants,
-                     list_length_feasible, permutation_union_bound, swap_choice_margin)
+from .bounds import (BoundReport, beta_threshold, fixed_ratio_constants, list_length_feasible,
+                     permutation_union_bound, swap_choice_margin)
 from .constructors import (CayleySpec, ColoredGraph, CyclicProduct, MulTable,
                            cartesian_product, cayley_abelian, cayley_involutions,
                            complete_bipartite_pow2, element_order, hypercube,
@@ -33,7 +33,7 @@ from .oracle import OracleResult, oracle_avoidable, oracle_cycle_census
 from .solver import (Exhaustive, FailureReport, Permutation, PermutationCheck,
                      RandomSearch, SelectionRecord, SolveResult, SolverParams, SwapPlan,
                      allowed_cycles, apply_permutation, check_permutation,
-                     construct_swap_plan, find_permutation, find_violation,
+                     construct_swap_plan, default_params, find_permutation, find_violation,
                      solve_distance2, solve_sparse, swap_blockers, verify_solution)
 
 __version__ = "0.1.0"

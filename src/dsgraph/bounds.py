@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateTau, HypothesisViolated
-from .solver import SolverParams
 
 PRECISION_BITS = 256
 
@@ -176,18 +175,6 @@ def swap_choice_margin(d: int, s: int, gamma, tau, epsilon) -> BoundReport:
         "constant": Fraction(3),
         "margin": margin,
     })
-
-
-def default_params(d: int, s: int) -> SolverParams:
-    """The parameter point at which the two-phase guarantees are proved.
-
-    gamma = s/(512*d), tau = 1/128, epsilon = 1/8; beta is left at zero for
-    the caller to fill in. Requires 1 <= s <= d.
-    """
-    if not 1 <= s <= d:
-        raise ValueError("need 1 <= s <= d")
-    return SolverParams(d=d, s=s, gamma=Fraction(s, 512 * d),
-                        tau=Fraction(1, 128), epsilon=Fraction(1, 8))
 
 
 def fixed_ratio_constants(kappa) -> tuple[Fraction, Fraction]:

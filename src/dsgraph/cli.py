@@ -26,7 +26,7 @@ from .instance_io import (from_colored_graph, load_instance, save_instance,
 from .list_assignments import (EMPTY, generate_distance2, generate_sparse,
                                support_is_distance2_matching)
 from .oracle import oracle_avoidable, oracle_cycle_census
-from .solver import (Exhaustive, RandomSearch, SolverParams, find_violation,
+from .solver import (Exhaustive, RandomSearch, SolverParams, default_params, find_violation,
                      solve_distance2, solve_sparse, verify_solution)
 
 FAMILIES = ("hypercube", "complete_bipartite_pow2", "remove_standard_matchings",
@@ -154,13 +154,15 @@ def cmd_gen_lists(args) -> int:
     return 0
 
 
+def _thresholds(args, d: int, s: int) -> tuple:
+    """(gamma, tau, epsilon) from the flags, ``default_params(d, s)`` filling unset ones."""
+    base = default_params(d, s)
+    flags = (args.gamma, args.tau, args.epsilon)
+    return tuple(b if x is None else x for x, b in zip(flags, (base.gamma, base.tau, base.epsilon)))
+
+
 def _solver_params(cg, args) -> SolverParams:
-    base = bounds_mod.default_params(cg.d, cg.s_measured)
-    return SolverParams(
-        d=cg.d, s=cg.s_measured,
-        gamma=args.gamma if args.gamma is not None else base.gamma,
-        tau=args.tau if args.tau is not None else base.tau,
-        epsilon=args.epsilon if args.epsilon is not None else base.epsilon)
+    return SolverParams(cg.d, cg.s_measured, *_thresholds(args, cg.d, cg.s_measured))
 
 
 def cmd_solve(args) -> int:
@@ -185,13 +187,7 @@ def cmd_solve(args) -> int:
         if result.plan is not None:
             report["cycles_swapped"] = len(result.plan.cycles)
             if result.plan.records:
-                report["selection"] = [
-                    {"edge": r.edge, "total_cycles": r.total_cycles,
-                     "allowed": r.allowed,
-                     "eliminated_overloaded": r.eliminated_overloaded,
-                     "eliminated_conflict_or_used": r.eliminated_conflict_or_used,
-                     "survivors": r.survivors}
-                    for r in result.plan.records]
+                report["selection"] = [dataclasses.asdict(r) for r in result.plan.records]
         if not verify_solution(cg, result.coloring, lists):
             print("internal error: solution failed re-verification", file=sys.stderr)
             return 1
@@ -205,14 +201,7 @@ def cmd_solve(args) -> int:
               f"swaps, verified -> {out}")
         return 0
     fail = result.failure
-    report["phase"] = fail.phase
-    report["message"] = fail.message
-    if fail.trials is not None:
-        report["trials"] = fail.trials
-    if fail.stuck_edge is not None:
-        report["stuck_edge"] = fail.stuck_edge
-    if fail.eliminated is not None:
-        report["eliminated"] = fail.eliminated
+    report.update((k, v) for k, v in dataclasses.asdict(fail).items() if v is not None)
     inst.report = report
     out = args.out or args.file
     save_instance(inst, out)
@@ -264,14 +253,8 @@ def cmd_bounds(args) -> int:
     threshold = bounds_mod.beta_threshold(n, d, s)
     info: dict = {"n": n, "d": d, "s": s,
                   "beta_threshold_log2": _mpf_str(threshold)}
-    gamma = args.gamma
-    tau = args.tau
-    epsilon = args.epsilon
-    if s <= d:
-        defaults = bounds_mod.default_params(d, s)
-        gamma = gamma if gamma is not None else defaults.gamma
-        tau = tau if tau is not None else defaults.tau
-        epsilon = epsilon if epsilon is not None else defaults.epsilon
+    gamma, tau, epsilon = _thresholds(args, d, s) if s <= d \
+        else (args.gamma, args.tau, args.epsilon)
     if gamma is not None and tau is not None and epsilon is not None:
         info["gamma"] = _frac_str(gamma)
         info["tau"] = _frac_str(tau)

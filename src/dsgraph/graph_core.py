@@ -29,11 +29,12 @@ the partner edge zt exists and carries color a. ``color_table`` lays those
 edges out as one list per vertex, indexed by color 0..d, with -1 where a
 vertex has no edge of that color, so a candidate costs two list reads, and
 the far end of an edge (x, y) at v is x + y - v.
-That cycle test lives in one place, ``_cycle_tuples``, which returns plain
+The partner is read off the same table: when ``table[z][a]`` and
+``table[t][a]`` name one edge, that a-colored edge joins z and t. That cycle
+test lives in one place, ``_cycle_tuples``, which returns plain
 (c, e_vz, e_tu, partner) tuples in O(d) work per edge:
-``two_colored_cycles_through`` wraps them into ``FourCycle``s, and phase one's
-checker reads them raw. ``compute_s`` repeats the test inline and only
-counts, so certifying s builds no objects.
+``two_colored_cycles_through`` wraps them into ``FourCycle``s, phase one's
+checker reads them raw, and ``compute_s`` counts them.
 """
 
 from __future__ import annotations
@@ -332,7 +333,10 @@ def _cycle_tuples(g: Graph, colors, d: int, e: int,
     """(c, e_vz, e_tu, partner) for each two-colored 4-cycle through e, ascending c.
 
     The one cycle test: the c-colored edges at v and u must both exist, end in
-    distinct vertices z and t, and zt must exist and carry e's color.
+    distinct vertices z and t, and zt must exist and carry e's color a. When
+    ``table[z][a]`` and ``table[t][a]`` hold the same edge, that edge is zt.
+    Otherwise zt is looked up by its endpoints, which keeps improper
+    colorings exact: there the last writer in a slot can hide zt.
     """
     edges, index = g.edges, g.edge_index
     u, v = edges[e]
@@ -352,9 +356,11 @@ def _cycle_tuples(g: Graph, colors, d: int, e: int,
         t = x + y - u
         if z == t:
             continue
-        partner = index.get((z, t) if z < t else (t, z))
-        if partner is None or colors[partner] != a:
-            continue
+        partner = table[z][a]
+        if partner < 0 or partner != table[t][a]:
+            partner = index.get((z, t) if z < t else (t, z))
+            if partner is None or colors[partner] != a:
+                continue
         out.append((c, ez, et, partner))
     return out
 
@@ -387,36 +393,11 @@ def compute_s(g: Graph, f: EdgeColoring) -> int:
 
     The certified s of a colored graph: every edge lies in at least s-1
     two-colored 4-cycles. Equals 1 on 4-cycle-free graphs; never exceeds d.
-    Counts with the test of ``_cycle_tuples``, inline.
     """
     if g.m == 0:
         return 1
     table = color_table(g, f)
-    edges, colors, index = g.edges, f.colors, g.edge_index
-    best = f.d  # no edge has more than d cycles, and m >= 1
-    for e, (u, v) in enumerate(edges):
-        a = colors[e]
-        at_u, at_v = table[u], table[v]
-        count = 0
-        for c in range(1, f.d + 1):
-            if c == a:
-                continue
-            ez = at_v[c]
-            et = at_u[c]
-            if ez < 0 or et < 0:
-                continue
-            x, y = edges[ez]
-            z = x + y - v
-            x, y = edges[et]
-            t = x + y - u
-            if z == t:
-                continue
-            partner = index.get((z, t) if z < t else (t, z))
-            if partner is not None and colors[partner] == a:
-                count += 1
-        if count < best:
-            best = count
-    return 1 + best
+    return 1 + min(len(_cycle_tuples(g, f.colors, f.d, e, table)) for e in range(g.m))
 
 
 def standard_matchings(g: Graph, h: EdgeColoring) -> tuple[frozenset[int], ...]:

@@ -140,11 +140,11 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
     if beta < 0:
         raise InvalidBound("beta must be nonnegative")
     cap = math.floor(beta * cg.s_measured)
+    if cap < 1:
+        return EMPTY
     rng = random.Random(seed)
     pairs = [(e, c) for e in range(g.m) for c in range(1, d + 1)]
     rng.shuffle(pairs)
-    if cap < 1:
-        return EMPTY
     lists: dict[int, set[int]] = {}
     per_vertex: Counter = Counter()
     balls = g.edge_balls(6)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructors import ColoredGraph
-from .errors import (ColorOutOfRange, PermutationBudgetExceeded, PermutationNotFound,
+from .errors import (PermutationBudgetExceeded, PermutationNotFound,
                      PermutationSearchFailed, PreconditionViolated, ResourceLimit,
                      SwapPlanStuck)
 # is_proper, swap_cycle and t_neighborhood are unused here but wrapped by
@@ -33,7 +33,7 @@ from .errors import (ColorOutOfRange, PermutationBudgetExceeded, PermutationNotF
 from .graph_core import (EdgeColoring, FourCycle, Graph, _cycle_tuples, apply_swaps,
                          color_table, is_proper, properness_witness, standard_matchings,
                          swap_cycle, t_neighborhood, two_colored_cycles_through)
-from .list_assignments import (ListAssignment, as_fraction, conflict_edges,
+from .list_assignments import (ListAssignment, _check_colors, as_fraction, conflict_edges,
                                support_is_distance2_matching)
 
 EXHAUSTIVE_D_CAP = 8
@@ -109,6 +109,18 @@ class SolverParams:
     @property
     def epsilon_s(self) -> Fraction:
         return self.epsilon * self.s
+
+
+def default_params(d: int, s: int) -> SolverParams:
+    """The parameter point at which the two-phase guarantees are proved.
+
+    gamma = s/(512*d), tau = 1/128, epsilon = 1/8; beta is left at zero for
+    the caller to fill in. Requires 1 <= s <= d.
+    """
+    if not 1 <= s <= d:
+        raise ValueError("need 1 <= s <= d")
+    return SolverParams(d=d, s=s, gamma=Fraction(s, 512 * d),
+                        tau=Fraction(1, 128), epsilon=Fraction(1, 8))
 
 
 def apply_permutation(h: EdgeColoring, rho: Permutation) -> EdgeColoring:
@@ -466,11 +478,12 @@ def solve_sparse(cg: ColoredGraph, L: ListAssignment, params: SolverParams | Non
                  strategy=None) -> SolveResult:
     """Run both phases; on failure return a report instead of raising.
 
-    Defaults: params from bounds.default_params on (d, measured s), and a
-    200-trial seeded random permutation search.
+    Defaults: params from ``default_params`` on (d, measured s), and a
+    200-trial seeded random permutation search. Raises ColorOutOfRange for a
+    list on an edge that does not exist or with a color outside 1..d.
     """
+    _check_colors(L, cg.graph, cg.d)
     if params is None:
-        from .bounds import default_params
         params = default_params(cg.d, cg.s_measured)
     if strategy is None:
         strategy = RandomSearch(trials=200, seed=0)
@@ -531,15 +544,13 @@ def solve_distance2(cg: ColoredGraph, L: ListAssignment) -> SolveResult:
     4-cycles but changes which edges conflict and which cycles are allowed.
     """
     h, s = cg.coloring, cg.s_measured
+    _check_colors(L, cg.graph, cg.d)
     if not support_is_distance2_matching(cg, L):
         raise PreconditionViolated("listed edges must form a distance-2 matching")
     for e, colors in L.items():
         if len(colors) > s - 1:
             raise PreconditionViolated(
                 f"list on edge {e} has {len(colors)} colors; at most {s - 1} allowed")
-        for c in colors:
-            if not 1 <= c <= cg.d:
-                raise ColorOutOfRange(f"color {c} on edge {e} outside 1..{cg.d}")
     found: list = []
 
     def accept(rho: Permutation) -> bool:

@@ -12,6 +12,7 @@ from dsgraph import graph_core
 from dsgraph.graph_core import Graph
 from tests.conftest import (are_edge_disjoint, are_vertex_disjoint, edge_set,
                             vertex_color_set)
+from tests.test_cycle_census import ref_color_table, ref_compute_s, ref_cycles_through
 
 
 def cycle_graph(n):
@@ -165,6 +166,29 @@ def test_cycle_edges_alternate_colors(q4):
 def test_compute_s_matches_family_parameter(q3, q4, k44):
     for cg in (q3, q4, k44):
         assert dg.compute_s(cg.graph, cg.coloring) == cg.s_measured
+
+
+def test_partner_hidden_in_the_color_table_is_found_by_its_endpoints(q3):
+    # Q3 with its parallel 1-edges (0,1) and (4,5) recolored to 2: vertices 0,
+    # 1, 4 and 5 each see color 2 twice, so the color-2 slots at 5 and 4 hold
+    # the later edges (5,7) and (4,6) and hide the partner (4,5) of the cycle
+    # 0-1-5-4 through (0,1); likewise for the cycle seen from (4,5)
+    g, h = q3.graph, q3.coloring
+    colors = list(h.colors)
+    for uv in ((0, 1), (4, 5)):
+        colors[g.edge_index[uv]] = 2
+    f = dg.EdgeColoring(tuple(colors), h.d)
+    table = dg.color_table(g, f)
+    e01, e45 = g.edge_index[0, 1], g.edge_index[4, 5]
+    assert (table[5][2], table[4][2]) == (g.edge_index[5, 7], g.edge_index[4, 6])
+    (cycle,) = dg.two_colored_cycles_through(g, f, e01, table)
+    assert (cycle.vertices, cycle.e_zt) == ((0, 1, 5, 4), e45)
+    ref_table = ref_color_table(g, f)
+    for e in range(g.m):
+        assert dg.two_colored_cycles_through(g, f, e, table) == \
+            ref_cycles_through(g, f, e, ref_table)
+    # (0,1) and (4,5) lie on that one cycle only, so missing it would read 1
+    assert dg.compute_s(g, f) == ref_compute_s(g, f) == 2
 
 
 def test_standard_matchings_partition_edges(q4):

@@ -201,6 +201,16 @@ def test_solve_distance2_preconditions(q3):
         dg.solve_distance2(q3, dg.ListAssignment.from_dict({0: [1, 2, 3]}))
 
 
+@pytest.mark.parametrize("solve", [dg.solve_sparse, dg.solve_distance2])
+@pytest.mark.parametrize("raw, match", [
+    # Q3 has 12 edges; key -1 must not be read as edge 11
+    ({-1: [1]}, "nonexistent edge -1"), ({12: [1]}, "nonexistent edge 12"),
+    ({0: [0]}, "color 0 on edge 0"), ({0: [4]}, "color 4 on edge 0")])
+def test_solvers_reject_lists_outside_the_graph_or_palette(q3, solve, raw, match):
+    with pytest.raises(dg.ColorOutOfRange, match=match):
+        solve(q3, dg.ListAssignment.from_dict(raw))
+
+
 def test_solve_distance2_reports_exhaustion(q3):
     # two same-matching conflicts at distance exactly 2 whose only allowed
     # cycles share a partner edge: under the identity trial the cycle-choice

@@ -34,7 +34,8 @@ The partner is read off the same table: when ``table[z][a]`` and
 test lives in one place, ``_cycle_tuples``, which returns plain
 (c, e_vz, e_tu, partner) tuples in O(d) work per edge:
 ``two_colored_cycles_through`` wraps them into ``FourCycle``s, phase one's
-checker reads them raw, and ``compute_s`` counts them.
+checker reads them raw from the per-graph memo
+``ColoredGraph.standard_cycles``, and ``compute_s`` counts them.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ class Graph:
             index[(u, v)] = i
         self.adjacency = tuple(tuple(a) for a in adjacency)
         self.edge_index = index
+        # the endpoint columns: edge e is (tails[e], heads[e])
+        self.tails, self.heads = tuple(zip(*edges)) or ((), ())
         self._balls: dict[int, tuple[int, ...]] = {}
 
     @classmethod
@@ -294,9 +297,19 @@ def t_neighborhood(g: Graph, e: int, t: int) -> frozenset[int]:
 
 def properness_witness(g: Graph,
                        f: EdgeColoring) -> tuple[int, int, int, int] | None:
-    """First repeated color at a vertex, as (earlier edge, edge, color, vertex)."""
+    """First repeated color at a vertex, as (earlier edge, edge, color, vertex).
+
+    Each edge writes the color-table slots (u, c) and (v, c). When a count
+    made at C level finds all those slots distinct there is no witness; only
+    otherwise does the ordered scan run to name one.
+    """
+    colors = f.colors
+    slots = set(zip(g.tails, colors))
+    slots.update(zip(g.heads, colors))
+    if len(slots) == 2 * min(g.m, len(colors)):
+        return None
     seen: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for e, ((u, v), c) in enumerate(zip(g.edges, f.colors)):
+    for e, ((u, v), c) in enumerate(zip(g.edges, colors)):
         for w in (u, v):
             first = seen[w].setdefault(c, e)
             if first != e:

@@ -104,28 +104,45 @@ def validate_beta_sparse(cg: ColoredGraph, L: ListAssignment, beta) -> SparsityR
     _check_colors(L, g, d)
     bound = beta * cg.s_measured
     cap = math.floor(bound)
-    violations = []
-    for e, cs in sorted(L.items()):
-        if len(cs) > cap:
-            violations.append(Violation("i", (e,), len(cs), bound))
-    per_vertex: Counter = Counter()
-    for e, cs in L.items():
-        u, v = g.edges[e]
-        for c in cs:
-            per_vertex[(u, c)] += 1
-            per_vertex[(v, c)] += 1
-    for (u, c), cnt in sorted(per_vertex.items()):
-        if cnt > cap:
-            violations.append(Violation("ii", (u, c), cnt, bound))
+    violations = [Violation("i", (e,), len(cs), bound)
+                  for e, cs in sorted(L.items()) if len(cs) > cap]
+    edges, colors = g.edges, h.colors
+    ends: list[tuple[int, int]] = []  # (vertex, color) once per listed color and endpoint
     groups: dict[tuple[int, int], list[int]] = {}
     for e, cs in L.items():
+        u, v = edges[e]
+        m = colors[e]
         for c in cs:
-            groups.setdefault((h[e], c), []).append(e)
+            ends += ((u, c), (v, c))
+            groups.setdefault((m, c), []).append(e)
+    for (u, c), cnt in sorted(item for item in Counter(ends).items() if item[1] > cap):
+        violations.append(Violation("ii", (u, c), cnt, bound))
     crowded = [(a, m, c, cnt) for (m, c), group in groups.items()
                for a, cnt in g.crowded_anchors(group, cap, 6)]
     for a, m, c, cnt in sorted(crowded):
         violations.append(Violation("iii", (a, m, c), cnt, bound))
     return SparsityReport(not violations, beta, tuple(violations))
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle x in place with exactly the draws of ``rng.shuffle(x)``.
+
+    ``random.Random.shuffle`` swaps x[i] with x[randbelow(i + 1)] for i from
+    the top down, and randbelow(n) redraws getrandbits(n.bit_length()) until
+    the draw is below n. The loop inlines those calls and walks i in blocks
+    of one bit length.
+    """
+    getrandbits = rng.getrandbits
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        bottom = max(1 << (k - 1), 2) - 1  # the least i whose i + 1 has k bits
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = bottom - 1
 
 
 def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
@@ -142,36 +159,41 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
     cap = math.floor(beta * cg.s_measured)
     if cap < 1:
         return EMPTY
-    rng = random.Random(seed)
-    pairs = [(e, c) for e in range(g.m) for c in range(1, d + 1)]
-    rng.shuffle(pairs)
-    lists: dict[int, set[int]] = {}
-    per_vertex: Counter = Counter()
+    # pair p stands for edge p // d and color p % d + 1
+    pairs = list(range(g.m * d))
+    _shuffle(random.Random(seed), pairs)
+    edges, colors = g.edges, h.colors
     balls = g.edge_balls(6)
-    # (matching, color) -> bit-sliced counts of admitted pairs per anchor W6;
-    # the top level holds the anchors already at cap
-    levels: dict[tuple[int, int], list[int]] = {}
-    for e, c in pairs:
-        cur = lists.get(e)
-        if cur is not None and c in cur:
+    lists: dict[int, set[int]] = {}
+    sizes = [0] * g.m
+    per_vertex = [0] * (g.n * d)  # w * d + c - 1
+    # matching * d + c - 1 -> bit-sliced counts of admitted pairs per anchor
+    # W6; the top level holds the anchors already at cap
+    levels: list[list[int] | None] = [None] * ((d + 1) * d)
+    for p in pairs:
+        e = p // d
+        if sizes[e] >= cap:
             continue
-        if cur is not None and len(cur) >= cap:
-            continue
-        u, v = g.edges[e]
-        if per_vertex[(u, c)] >= cap or per_vertex[(v, c)] >= cap:
+        c0 = p - e * d
+        u, v = edges[e]
+        iu = u * d + c0
+        iv = v * d + c0
+        if per_vertex[iu] >= cap or per_vertex[iv] >= cap:
             continue
         w6 = balls[u] | balls[v]
-        counts = levels.get((h[e], c))
+        k = colors[e] * d + c0
+        counts = levels[k]
         if counts is None:
-            counts = levels[(h[e], c)] = [0] * cap
+            counts = levels[k] = [0] * cap
         elif counts[-1] & w6:
             continue
-        if cur is None:
-            lists[e] = {c}
+        if sizes[e]:
+            lists[e].add(c0 + 1)
         else:
-            cur.add(c)
-        per_vertex[(u, c)] += 1
-        per_vertex[(v, c)] += 1
+            lists[e] = {c0 + 1}
+        sizes[e] += 1
+        per_vertex[iu] += 1
+        per_vertex[iv] += 1
         add_count(counts, w6)
     return ListAssignment({e: frozenset(cs) for e, cs in lists.items()})
 
@@ -209,7 +231,8 @@ def generate_distance2(cg: ColoredGraph, seed: int, max_list: int) -> ListAssign
 
 def conflict_edges(g: Graph, f: EdgeColoring, L: ListAssignment) -> frozenset[int]:
     """Edges whose current color sits in their own forbidden list."""
-    return frozenset(e for e, cs in L.items() if f[e] in cs)
+    colors = f.colors
+    return frozenset(e for e, cs in L.items() if colors[e] in cs)
 
 
 def support_is_distance2_matching(cg: ColoredGraph, L: ListAssignment) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +30,7 @@ from .errors import (PermutationBudgetExceeded, PermutationNotFound,
                      SwapPlanStuck)
 # is_proper, swap_cycle and t_neighborhood are unused here but wrapped by
 # perfbench/tracing.py.
-from .graph_core import (EdgeColoring, FourCycle, Graph, _cycle_tuples, apply_swaps,
+from .graph_core import (EdgeColoring, FourCycle, Graph, apply_swaps,
                          color_table, is_proper, properness_witness, standard_matchings,
                          swap_cycle, t_neighborhood, two_colored_cycles_through)
 from .list_assignments import (ListAssignment, _check_colors, as_fraction, conflict_edges,
@@ -127,7 +127,8 @@ def apply_permutation(h: EdgeColoring, rho: Permutation) -> EdgeColoring:
     """Recolor every edge through rho; color classes move as whole matchings."""
     if rho.d != h.d:
         raise ValueError("permutation size does not match color count")
-    return EdgeColoring(tuple(rho(c) if c else 0 for c in h.colors), h.d)
+    images = (0, *rho.images)  # the uncolored slot 0 stays 0
+    return EdgeColoring(tuple(map(images.__getitem__, h.colors)), h.d)
 
 
 @dataclass(frozen=True)
@@ -165,46 +166,57 @@ class _Checker:
 
     Cycle structure does not depend on the permutation (recoloring permutes
     cycle colors but not the cycles themselves), so the cycles through listed
-    edges are enumerated once under h, as the raw tuples of
-    ``graph_core._cycle_tuples``. A cycle with no listed edge can never be
-    blocked and gives no rows. Every other cycle is handled once, from its
-    least listed edge (an edge with an empty list counts as listed), and
-    gives each of its four edges a row (own color - 1, other color - 1,
-    blocks own, blocks other). ``sensitive`` holds the rows per edge in
-    ascending edge order; for (c) a trial reads nothing else. Condition (a)
-    counts each matching's conflict edges per anchor with
-    ``Graph.crowded_anchors``. Integer counts are compared against
-    floor(gamma*s) and floor(tau*s), which decides exactly as the Fractions
-    would.
+    edges are read once under h, from ``ColoredGraph.standard_cycles``: the
+    graph memoizes each edge's ``graph_core._cycle_tuples``, so later solves
+    on it enumerate nothing. A cycle with no listed edge can never be blocked
+    and gives no entry. Every other cycle is handled once, from its least
+    listed edge (an edge with an empty list counts as listed), and gives one
+    entry in ``cycles``: (own color - 1, other color - 1, blocks own,
+    blocks other, e, partner, e_vz, e_tu), the two blocker sets as bitmasks
+    over colors. A swap is blocked for all four of its edges or for none, so
+    a trial tests each entry once and counts a blocked one against its four
+    edges; (c) is then checked per edge, in ascending edge order. ``hits``
+    names the listed edges that conflict for each (matching, image) pair, so
+    (b) and (a) read only the conflict edges; (a) counts each matching's
+    conflict edges per anchor with ``Graph.crowded_anchors``. Integer counts
+    are compared against floor(gamma*s) and floor(tau*s), which decides
+    exactly as the Fractions would.
     """
 
     def __init__(self, cg: ColoredGraph, L: ListAssignment, params: SolverParams):
+        g, colors = cg.graph, cg.coloring.colors
+        _check_colors(L, g, cg.d)
         self.gs = math.floor(params.gamma_s)
         self.ts = math.floor(params.tau_s)
-        g, h = cg.graph, cg.coloring
         self.graph, self.edges = g, g.edges
-        self.lists = lists = dict(L.items())
-        self.supp = sorted(lists)
-        self.h_colors = colors = h.colors
-        table = color_table(g, h)
-        get = lists.get
-        rows: defaultdict[int, list] = defaultdict(list)
-        for e in self.supp:
+        lists = L.lists
+        supp = sorted(lists)
+        # hits[m - 1][x]: the listed edges of matching m whose list holds x,
+        # ascending; they conflict exactly when rho maps m to x
+        self.hits: list[dict[int, list[int]]] = [{} for _ in range(cg.d)]
+        listed = bytearray(g.m)
+        masks = [0] * g.m  # each list as a bitmask over colors
+        for e in supp:
+            listed[e] = 1
+            hit = self.hits[colors[e] - 1]
+            for x in lists[e]:
+                hit.setdefault(x, []).append(e)
+                masks[e] |= 1 << x
+        cycles = []
+        for e, flat in zip(supp, cg.standard_cycles(supp)):
             ia = colors[e] - 1
-            own = lists[e]
-            for c, ez, et, partner in _cycle_tuples(g, colors, h.d, e, table):
-                # an earlier listed edge of this cycle already gave its rows
-                if ((ez < e and ez in lists) or (et < e and et in lists)
-                        or (partner < e and partner in lists)):
+            own = masks[e]
+            it = iter(flat)
+            for c, ez, et, partner in zip(it, it, it, it):
+                # an earlier listed edge of this cycle already gave its entry
+                if ((ez < e and listed[ez]) or (et < e and listed[et])
+                        or (partner < e and listed[partner])):
                     continue
-                ba, bb = _blockers(get(ez, _NO_COLORS), get(et, _NO_COLORS),
-                                   own, get(partner, _NO_COLORS))
-                row_a, row_b = (ia, c - 1, ba, bb), (c - 1, ia, bb, ba)
-                rows[e].append(row_a)
-                rows[partner].append(row_a)
-                rows[ez].append(row_b)
-                rows[et].append(row_b)
-        self.sensitive = sorted(rows.items())
+                # as in ``swap_blockers``: the swap puts color a on vz and tu,
+                # color b on uv and zt
+                cycles.append((ia, c - 1, masks[ez] | masks[et], own | masks[partner],
+                               e, partner, ez, et))
+        self.cycles = cycles
 
     def accepts(self, rho: Permutation) -> bool:
         return next(self.witnesses(rho), None) is None
@@ -218,30 +230,32 @@ class _Checker:
     def witnesses(self, rho: Permutation):
         """Yield ("b" | "a" | "c", witness) lazily: (b) by vertex, then (a) by
         matching and anchor, then (c) by edge, each in ascending order."""
-        gs = self.gs
-        conf = [e for e in self.supp if rho(self.h_colors[e]) in self.lists[e]]
-        per_vertex: Counter = Counter()
-        for e in conf:
-            u, v = self.edges[e]
-            per_vertex[u] += 1
-            per_vertex[v] += 1
+        gs, ts = self.gs, self.ts
+        images = rho.images
+        # the conflict edges, grouped by matching in ascending order
+        conf = [(m, hit[x]) for m, (x, hit) in enumerate(zip(images, self.hits), 1)
+                if x in hit]
+        edges = self.edges
+        per_vertex = Counter(w for _, group in conf for e in group for w in edges[e])
         for u, cnt in sorted(per_vertex.items()):
             if cnt > gs:
                 yield "b", (u, cnt)
-        by_matching: dict[int, list[int]] = {}
-        for e in conf:
-            by_matching.setdefault(self.h_colors[e], []).append(e)
-        for m, group in sorted(by_matching.items()):
+        for m, group in conf:
             for a, cnt in self.graph.crowded_anchors(group, gs, 6):
                 yield "a", (a, m, cnt)
-        images = rho.images
-        for e, rows in self.sensitive:
-            bad = 0
-            for ia, ib, blocks_a, blocks_b in rows:
-                if images[ia] in blocks_a or images[ib] in blocks_b:
-                    bad += 1
-            if bad > self.ts:
-                yield "c", (e, bad)
+        bits = [1 << x for x in images]
+        bad: Counter = Counter()
+        blocked = 0
+        for ia, ib, blocks_a, blocks_b, e, partner, ez, et in self.cycles:
+            if blocks_a & bits[ia] or blocks_b & bits[ib]:
+                blocked += 1
+                bad[e] += 1
+                bad[partner] += 1
+                bad[ez] += 1
+                bad[et] += 1
+        if blocked > ts:  # otherwise no edge lies in more than ts blocked cycles
+            for e in sorted(e for e, cnt in bad.items() if cnt > ts):
+                yield "c", (e, bad[e])
 
 
 def check_permutation(cg: ColoredGraph, L: ListAssignment, rho: Permutation,
@@ -312,13 +326,8 @@ def swap_blockers(L: ListAssignment, cyc: FourCycle) -> tuple[frozenset, frozens
     """(blocks_a, blocks_b): the swap moves the a-color onto vz and tu, whose lists
     block it, and the b-color onto uv and zt, whose lists block it."""
     get = L.lists.get
-    return _blockers(get(cyc.e_vz, _NO_COLORS), get(cyc.e_tu, _NO_COLORS),
-                     get(cyc.e_uv, _NO_COLORS), get(cyc.e_zt, _NO_COLORS))
-
-
-def _blockers(a1: frozenset, a2: frozenset, b1: frozenset,
-              b2: frozenset) -> tuple[frozenset, frozenset]:
-    """``swap_blockers`` from the four lists: (lists of vz and tu, lists of uv and zt)."""
+    a1, a2 = get(cyc.e_vz, _NO_COLORS), get(cyc.e_tu, _NO_COLORS)
+    b1, b2 = get(cyc.e_uv, _NO_COLORS), get(cyc.e_zt, _NO_COLORS)
     # pass a list through when its partner is empty: no new set for most cycles
     return (a1 | a2 if a1 and a2 else a1 or a2, b1 | b2 if b1 and b2 else b1 or b2)
 
@@ -482,7 +491,6 @@ def solve_sparse(cg: ColoredGraph, L: ListAssignment, params: SolverParams | Non
     200-trial seeded random permutation search. Raises ColorOutOfRange for a
     list on an edge that does not exist or with a color outside 1..d.
     """
-    _check_colors(L, cg.graph, cg.d)
     if params is None:
         params = default_params(cg.d, cg.s_measured)
     if strategy is None:

@@ -1,16 +1,19 @@
-"""Phase one's (c) rows against the FourCycle build they replaced.
+"""Phase one's per-cycle (c) entries against the FourCycle build they replaced.
 
 ``ref_sensitive`` below is the checker build that enumerated a ``FourCycle``
-per cycle through each listed edge and skipped a cycle once any of its edges
-sat in a set of listed edges already handled. It runs on the dict-table
-enumeration of ``test_cycle_census`` and on its own blocker unions, so it
-shares no code with the raw-tuple build in ``solver._Checker``. The rows must
-agree edge for edge and row for row on generated beta-sparse lists and on
-clustered lists where listed edges, empty lists among them, share cycles.
+per cycle through each listed edge, skipped a cycle once any of its edges
+sat in a set of listed edges already handled, and gave each of the four
+edges a row (own color - 1, other color - 1, blocks own, blocks other). It
+runs on the dict-table enumeration of ``test_cycle_census`` and on its own
+blocker unions, so it shares no code with ``solver._Checker``, which keeps
+one entry per cycle. ``rows_of`` expands those entries back into rows; the
+rows must agree edge for edge and row for row on generated beta-sparse lists
+and on clustered lists where listed edges, empty lists among them, share
+cycles, and ``check`` must equal an evaluation of the rows.
 """
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 import dsgraph as dg
 from dsgraph.constructors import ColoredGraph
-from dsgraph.graph_core import Graph
+from dsgraph.graph_core import Graph, t_neighborhood
 from dsgraph.solver import _Checker
 from tests.test_cycle_census import ref_color_table, ref_cycles_through
 from tests.test_neighborhood_kernel import BUILDERS, instance
@@ -47,6 +50,51 @@ def ref_sensitive(cg, L):
             rows[cyc.e_tu].append(row_b)
         done.add(e)
     return sorted(rows.items())
+
+
+def colors_in(mask):
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def rows_of(checker):
+    """The checker's per-cycle entries expanded into the rows of ``ref_sensitive``:
+    e and partner get (ia, ib, ba, bb), e_vz and e_tu get (ib, ia, bb, ba),
+    with the entries' color bitmasks read back as sets."""
+    rows = defaultdict(list)
+    for ia, ib, mask_a, mask_b, e, partner, ez, et in checker.cycles:
+        ba, bb = colors_in(mask_a), colors_in(mask_b)
+        rows[e].append((ia, ib, ba, bb))
+        rows[partner].append((ia, ib, ba, bb))
+        rows[ez].append((ib, ia, bb, ba))
+        rows[et].append((ib, ia, bb, ba))
+    return sorted(rows.items())
+
+
+def ref_check(cg, L, rho, params):
+    """``check_permutation`` from first principles: (b) and (a) by counting
+    conflict edges per vertex and per anchor's 6-neighborhood, (c) by
+    evaluating the rows of ``ref_sensitive`` edge by edge."""
+    g, h = cg.graph, cg.coloring
+    gs, ts = params.gamma_s, params.tau_s
+    conf = [e for e, cs in sorted(L.items()) if rho(h[e]) in cs]
+    per_vertex = Counter(w for e in conf for w in g.edges[e])
+    wb = tuple((u, cnt) for u, cnt in sorted(per_vertex.items()) if cnt > gs)
+    wa = []
+    for m in sorted({h[e] for e in conf}):
+        group = {e for e in conf if h[e] == m}
+        seen = set()
+        for a in range(g.m):
+            w6 = t_neighborhood(g, a, 6)
+            if w6 not in seen and len(w6 & group) > gs:
+                seen.add(w6)
+                wa.append((a, m, len(w6 & group)))
+    wc = []
+    for e, rows in ref_sensitive(cg, L):
+        bad = sum(1 for ia, ib, ba, bb in rows
+                  if rho.images[ia] in ba or rho.images[ib] in bb)
+        if bad > ts:
+            wc.append((e, bad))
+    return dg.PermutationCheck(tuple(wa), wb, tuple(wc))
 
 
 def clustered_lists(cg, seed):
@@ -95,7 +143,7 @@ def params_for(cg):
 def test_checker_rows_match_fourcycle_build(label, kind, seed):
     cg, _ = instance(label)
     L = some_lists(cg, kind, seed)
-    assert _Checker(cg, L, params_for(cg)).sensitive == ref_sensitive(cg, L)
+    assert rows_of(_Checker(cg, L, params_for(cg))) == ref_sensitive(cg, L)
 
 
 def test_clustered_lists_skip_from_every_position_and_keep_empty_lists():
@@ -107,7 +155,7 @@ def test_clustered_lists_skip_from_every_position_and_keep_empty_lists():
         L = clustered_lists(cg, seed)
         positions |= skip_positions(cg, L)
         empty_listed += sum(1 for cs in L.lists.values() if not cs)
-        assert _Checker(cg, L, params_for(cg)).sensitive == ref_sensitive(cg, L)
+        assert rows_of(_Checker(cg, L, params_for(cg))) == ref_sensitive(cg, L)
     assert positions == {"e_vz", "e_zt", "e_tu"}
     assert empty_listed >= 10
 
@@ -117,9 +165,11 @@ def test_empty_list_is_listed_for_the_skip():
     # later listed edge must not give its rows a second time
     cg = dg.hypercube(2)
     L = dg.ListAssignment({0: NO_COLORS, 3: frozenset({1})})
-    rows = _Checker(cg, L, params_for(cg)).sensitive
+    checker = _Checker(cg, L, params_for(cg))
+    rows = rows_of(checker)
     assert rows == ref_sensitive(cg, L)
     assert [len(r) for _, r in rows] == [1, 1, 1, 1]
+    assert len(checker.cycles) == 1
 
 
 def test_rows_never_close_a_cycle_through_a_loop():
@@ -130,4 +180,19 @@ def test_rows_never_close_a_cycle_through_a_loop():
     cg = ColoredGraph(g, h, 2, 1, 1, {})
     L = dg.ListAssignment({0: frozenset({2}), 3: frozenset({2})})
     assert dg.two_colored_cycles_through(g, h, 0) == ()
-    assert _Checker(cg, L, params_for(cg)).sensitive == ref_sensitive(cg, L) == []
+    assert rows_of(_Checker(cg, L, params_for(cg))) == ref_sensitive(cg, L) == []
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(sorted(BUILDERS)), st.sampled_from([1, 2, 3, "clustered"]),
+       st.integers(min_value=0, max_value=10 ** 6), st.randoms(use_true_random=False),
+       st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7))
+def test_check_matches_rows_evaluation(label, kind, seed, rnd, gamma8, tau8):
+    cg, _ = instance(label)
+    L = some_lists(cg, kind, seed)
+    images = list(range(1, cg.d + 1))
+    rnd.shuffle(images)
+    rho = dg.Permutation(tuple(images))
+    params = dg.SolverParams(cg.d, cg.s_measured, Fraction(gamma8, 8), Fraction(tau8, 8),
+                             Fraction(1, 2))
+    assert _Checker(cg, L, params).check(rho) == ref_check(cg, L, rho, params)

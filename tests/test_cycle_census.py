@@ -3,9 +3,10 @@
 ``ref_color_table``, ``ref_cycles_through`` and ``ref_compute_s`` below are
 the per-vertex dict table, the enumeration on it and the census that built a
 ``FourCycle`` per cycle only to count them. The library's list table and
-object-free ``compute_s`` must agree with them cycle for cycle, on proper
-colorings (permuted, swapped) and on improper ones (repeated colors and the
-uncolored slot 0), where the last writer in edge order wins the table slot.
+``compute_s``, which counts the raw tuples of ``_cycle_tuples``, must agree
+with them cycle for cycle, on proper colorings (permuted, swapped) and on
+improper ones (repeated colors and the uncolored slot 0), where the last
+writer in edge order wins the table slot.
 """
 
 import random

@@ -1,6 +1,7 @@
 """Core graph machinery: distances, neighborhoods, cycles, swaps."""
 
 import itertools
+import random
 import re
 
 import pytest
@@ -12,7 +13,8 @@ from dsgraph import graph_core
 from dsgraph.graph_core import Graph
 from tests.conftest import (are_edge_disjoint, are_vertex_disjoint, edge_set,
                             vertex_color_set)
-from tests.test_cycle_census import ref_color_table, ref_compute_s, ref_cycles_through
+from tests.test_cycle_census import (LABELS, graph_and_coloring, recolor, ref_color_table,
+                                     ref_compute_s, ref_cycles_through)
 
 
 def cycle_graph(n):
@@ -133,6 +135,44 @@ def test_is_proper_and_is_total(q3):
         dg.is_proper(g, dg.EdgeColoring(tuple(partial), h.d))
     with pytest.raises(ValueError):
         dg.is_proper(g, dg.EdgeColoring(h.colors[:-1], h.d))
+
+
+def ref_properness_witness(g, f):
+    """The ordered scan alone: the first vertex slot written twice."""
+    seen = [{} for _ in range(g.n)]
+    for e, ((u, v), c) in enumerate(zip(g.edges, f.colors)):
+        for w in (u, v):
+            first = seen[w].setdefault(c, e)
+            if first != e:
+                return first, e, c, w
+    return None
+
+
+# the loop edge of test_checker_rows: (2, 2) writes the slot (2, 1) twice
+LOOP_GRAPH = (Graph(3, ((0, 1), (0, 2), (1, 2), (2, 2))), dg.EdgeColoring((1, 2, 2, 1), 2))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([*LABELS, "loop"]), st.integers(min_value=0, max_value=10 ** 6),
+       st.booleans(), st.integers(min_value=0, max_value=6))
+def test_properness_witness_matches_the_ordered_scan(label, seed, permute, perturb):
+    # perturb recolors random edges in 0..d, so repeated colors and the
+    # uncolored slot 0 both occur
+    g, h = LOOP_GRAPH if label == "loop" else graph_and_coloring(label)
+    f = recolor(g, h, random.Random(seed), permute, 0, perturb)
+    assert dg.properness_witness(g, f) == ref_properness_witness(g, f)
+
+
+def test_properness_witness_on_a_loop_and_on_short_colorings():
+    g, h = LOOP_GRAPH
+    # the loop's two slot writes are not a repeat, the colour-2 pair is
+    assert dg.properness_witness(g, h) == ref_properness_witness(g, h) == (1, 2, 2, 2)
+    proper = dg.EdgeColoring((1, 2, 3, 4), 4)
+    assert dg.properness_witness(g, proper) is None
+    # a coloring shorter than the edge list is scanned up to its length
+    q3 = dg.hypercube(3)
+    assert dg.properness_witness(q3.graph, dg.EdgeColoring((1, 1), 3)) == (0, 1, 1, 0)
+    assert dg.properness_witness(q3.graph, dg.EdgeColoring((1, 2), 3)) is None
 
 
 def test_cycle_counts_per_edge(q3, k44):

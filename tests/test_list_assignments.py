@@ -1,5 +1,6 @@
 """Forbidden-color lists: sparsity validation and seeded generators."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsgraph as dg
+from dsgraph.list_assignments import _shuffle
+from tests.conftest import ref_generate_sparse
+from tests.test_neighborhood_kernel import BUILDERS
 
 
 def test_from_dict_normalizes():
@@ -105,6 +109,37 @@ def test_generate_sparse_output_always_validates(q4, k88):
             for beta in (Fraction(1, cg.s), Fraction(1, 2)):
                 L = dg.generate_sparse(cg, beta, seed)
                 assert dg.validate_beta_sparse(cg, L, beta).ok
+
+
+@pytest.mark.parametrize("n", [*range(65), 32768])
+def test_local_shuffle_makes_the_draws_of_random_shuffle(n):
+    for seed in (0, 1, 12345):
+        expected, got = list(range(n)), list(range(n))
+        lib, local = random.Random(seed), random.Random(seed)
+        lib.shuffle(expected)
+        _shuffle(local, got)
+        assert got == expected
+        assert local.getrandbits(64) == lib.getrandbits(64)
+
+
+FAMILY_BUILDERS = {**BUILDERS, "K16,16": lambda: dg.complete_bipartite_pow2(4),
+                   "Q4xK4,4": lambda: dg.cartesian_product(dg.hypercube(4),
+                                                           dg.complete_bipartite_pow2(2))}
+
+
+@pytest.mark.parametrize("label", sorted(FAMILY_BUILDERS))
+def test_generate_sparse_matches_the_tuple_shuffle_reference(label):
+    cg = FAMILY_BUILDERS[label]()
+    s = cg.s_measured
+    for k in (1, 2, 3):
+        for seed in range(4):
+            L = dg.generate_sparse(cg, Fraction(k, s), seed)
+            ref = ref_generate_sparse(cg, Fraction(k, s), seed)
+            # dict order included: it is the order of first admission
+            assert list(L.items()) == list(ref.items())
+            # and each frozenset iterates as the reference's does
+            assert [tuple(cs) for cs in L.lists.values()] == \
+                [tuple(cs) for cs in ref.lists.values()]
 
 
 def test_generate_sparse_rejects_out_of_range_colors(q3):

@@ -211,6 +211,21 @@ def test_solvers_reject_lists_outside_the_graph_or_palette(q3, solve, raw, match
         solve(q3, dg.ListAssignment.from_dict(raw))
 
 
+@pytest.mark.parametrize("search", [
+    lambda cg, L: dg.check_permutation(cg, L, dg.Permutation.identity(cg.d),
+                                       dg.default_params(cg.d, cg.s_measured)),
+    lambda cg, L: dg.find_permutation(cg, L, dg.default_params(cg.d, cg.s_measured),
+                                      dg.RandomSearch(trials=5))],
+    ids=["check_permutation", "find_permutation"])
+@pytest.mark.parametrize("raw, match", [
+    # edge -1 once read edge 11's color through a negative index
+    ({-1: [1]}, "nonexistent edge -1"), ({12: [1]}, "nonexistent edge 12"),
+    ({0: [4]}, "color 4 on edge 0")])
+def test_phase_one_rejects_lists_outside_the_graph_or_palette(q3, search, raw, match):
+    with pytest.raises(dg.ColorOutOfRange, match=match):
+        search(q3, dg.ListAssignment.from_dict(raw))
+
+
 def test_solve_distance2_reports_exhaustion(q3):
     # two same-matching conflicts at distance exactly 2 whose only allowed
     # cycles share a partner edge: under the identity trial the cycle-choice
@@ -260,7 +275,7 @@ def test_verify_solution_cases(q3):
 
 @pytest.mark.parametrize("name", ["q3", "q4", "k44", "q2xk44"])
 def test_condition_c_counts_match_allowed_cycles(name):
-    # the checker's precomputed swap_blockers rows and allowed_cycles against
+    # the checker's precomputed swap_blockers entries and allowed_cycles against
     # swapping each cycle and looking up its four edges; tau = 0 makes every
     # disallowed cycle a witness
     cg = {"q3": lambda: dg.hypercube(3), "q4": lambda: dg.hypercube(4),

@@ -236,14 +236,16 @@ def cmd_oracle(args) -> int:
     except OracleBudgetExceeded as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 1
+    counts = (f"{result.nodes_explored} nodes, {result.item_forced} item-forced, "
+              f"{result.item_dead_ends} item dead ends")
     if result.avoidable:
-        print(f"avoidable ({result.nodes_explored} nodes)")
+        print(f"avoidable ({counts})")
         if args.out:
             inst.solution = result.witness
             save_instance(inst, args.out)
             print(f"witness -> {args.out}")
         return 0
-    print(f"not avoidable ({result.nodes_explored} nodes)")
+    print(f"not avoidable ({counts})")
     return 1
 
 

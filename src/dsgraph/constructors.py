@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from .errors import (CertificationFailed, ClaimDiscrepancyWarning, InvalidCayleySpec,
                      InvalidK, ResourceLimit)
-from .graph_core import EdgeColoring, Graph, _cycle_tuples, color_table, compute_s, is_proper
+from .graph_core import (EdgeColoring, Graph, _cycle_tuples, color_table, compute_s, is_proper,
+                         standard_matchings)
 
 HYPERCUBE_DIM_CAP = 16
 BIPARTITE_T_CAP = 7
@@ -36,6 +37,8 @@ class ColoredGraph:
     # per edge, None or its flat ``standard_cycles`` entry; init=False, so
     # dataclasses.replace gives the new graph an empty memo
     _cycle_memo: list = field(default_factory=list, init=False, repr=False)
+    # the ``class_masks``, empty until the first call; init=False as above
+    _class_masks: list = field(default_factory=list, init=False, repr=False)
 
     def standard_cycles(self, edges) -> list[tuple[int, ...]]:
         """For each edge in ``edges``, its ``_cycle_tuples`` under the standard
@@ -59,6 +62,14 @@ class ColoredGraph:
                     _cycle_tuples(g, h.colors, h.d, e, table)))
             out.append(flat)
         return out
+
+    def class_masks(self) -> list[int]:
+        """The color classes of the standard coloring as edge bitmasks, index
+        c - 1 for color c; built on the first call and kept."""
+        if not self._class_masks:
+            self._class_masks.extend(sum(1 << e for e in m)
+                                     for m in standard_matchings(self.graph, self.coloring))
+        return self._class_masks
 
     @property
     def s(self) -> int:

@@ -40,6 +40,7 @@ checker reads them raw from the per-graph memo
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -69,6 +70,7 @@ class Graph:
         # the endpoint columns: edge e is (tails[e], heads[e])
         self.tails, self.heads = tuple(zip(*edges)) or ((), ())
         self._balls: dict[int, tuple[int, ...]] = {}
+        self._half_edges: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -94,6 +96,11 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+    @functools.cached_property
+    def max_degree(self) -> int:
+        """The largest vertex degree; 0 for a graph without edges."""
+        return max(map(len, self.adjacency), default=0)
 
     def vertex_distances_from_edge(self, e: int) -> tuple[float, ...]:
         """BFS layers from both endpoints of e at once (distance 0 for each)."""
@@ -143,6 +150,30 @@ class Graph:
         out = tuple(balls)
         self._balls[t] = out
         return out
+
+    def half_edge_layout(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(F, field, partner): the half-edge bit layout of the exact oracle.
+
+        F is the largest degree plus one, and vertex w owns the F bits from
+        w * F up: bit w * F + j stands for the half-edge at w of
+        ``adjacency[w][j]``, and the top bit, w * F + F - 1, is a flag no
+        half-edge uses. ``field[w]`` holds w's half-edges and flag, and
+        ``partner[w]`` adds the far half-edges of the edges at w (for an edge
+        wx, its half-edge at x), so the two half-edges of an edge uv are
+        ``partner[u] & partner[v]``. Cached.
+        """
+        if self._half_edges is None:
+            width = self.max_degree + 1
+            field = []
+            partner = [0] * self.n
+            for x, adj in enumerate(self.adjacency):
+                base = x * width
+                field.append(((1 << len(adj)) - 1 | 1 << width - 1) << base)
+                for j, e in enumerate(adj):
+                    partner[self.other_endpoint(e, x)] |= 1 << (base + j)
+            self._half_edges = (width, tuple(field),
+                                tuple(p | f for p, f in zip(partner, field)))
+        return self._half_edges
 
     def nbhd_mask(self, e: int, t: int) -> int:
         """W_t(e) as a bitmask: the edges at distance <= t from e."""

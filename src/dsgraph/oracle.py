@@ -1,9 +1,12 @@
 """Exact ground truth, independent of the fast solver.
 
 oracle_avoidable decides by exhaustive backtracking whether any proper
-d-edge-coloring avoids the forbidden lists. oracle_cycle_census recounts
-two-colored 4-cycles from scratch by scanning vertex quadruples, so it shares
-no code path with the per-edge cycle enumeration it is used to cross-check.
+d-edge-coloring avoids the forbidden lists. It branches on edges, and once a
+search has met a dead end it also reasons on (vertex, color) items, as in an
+exact-cover search: at a vertex of degree d every color is used exactly once.
+oracle_cycle_census recounts two-colored 4-cycles from scratch by scanning
+vertex quadruples, so it shares no code path with the per-edge cycle
+enumeration it is used to cross-check.
 """
 
 from __future__ import annotations
@@ -23,40 +26,65 @@ class OracleResult:
     avoidable: bool
     witness: EdgeColoring | None
     nodes_explored: int
+    # nodes that colored the one edge left to some (vertex, color) item
+    item_forced: int = 0
+    # dead ends met at an item with no edge left, rather than at an edge
+    item_dead_ends: int = 0
 
 
 def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
                      limit: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Decide exactly whether some proper d-edge-coloring avoids every list.
 
-    Backtracking over edges, always branching on the edge with the fewest
-    colors still available (forbidden list removed, colors used at either
-    endpoint removed), colors in ascending order. Ties go to the first such
-    edge in the iteration order of one ``uncolored`` set, which a frame
-    leaves when pushed and rejoins when popped, and the first uncolored edge
-    in that order with at most one color left is taken at once (a dead end
-    when it has none). That set order, not ascending edge id, fixes the node
-    count, witness and budget point that the references in the tests pin.
+    Backtracking over edges, colors in ascending order. At each node the
+    lowest-id uncolored edge with at most one color left (forbidden list and
+    colors used at either endpoint removed) takes that color, or is a dead
+    end when it has none; without such an edge the search branches on the
+    lowest-id edge with the fewest colors.
 
-    No edge's count is computed on its own. ``avail[c]`` is the bitmask of
-    the edges where color c + 1 is allowed and free at both ends, and
-    ``planes`` is a bit-sliced binary counter over all edges, P =
-    max(1, d.bit_length()) planes wide: at every search node, bit i of the
-    number of colors in ``avail`` at edge e is bit e of ``planes[i]``.
-    Coloring uv with c removes c from the edges in
-    ``avail[c] & (E_0(u) | E_0(v))``, and one borrow chain subtracts that
-    mask from the counter into a new plane list. The frame keeps the
-    previous ``avail[c]`` and plane list, so undoing restores both by
-    reference. The uncolored edges with at most one color left, or else
-    those with the fewest, then come from a few whole-graph ANDs; a single
-    such edge is read off its bit, and only among several is the set walked
-    to the first of them. An explicit stack keeps the depth (up to m) off
-    the interpreter's recursion limit.
+    ``avail[c]`` is the bitmask of the edges where color c + 1 is allowed and
+    free at both ends, and ``planes`` is a bit-sliced binary counter over all
+    edges, P = max(1, d.bit_length()) planes wide: bit i of the number of
+    colors in ``avail`` at edge e is bit e of ``planes[i]``. Coloring uv with
+    c removes c from the edges in ``avail[c] & (E_0(u) | E_0(v))``, and one
+    borrow chain subtracts that mask from the counter into a new plane list.
+    The frame keeps the previous ``avail[c]`` and plane list, so undoing
+    restores both by reference, and the picks above are a few whole-graph
+    ANDs and one ``pick & -pick``. An explicit stack keeps the depth (up to
+    m) off the interpreter's recursion limit.
 
-    The frames hold up to m * (P + 1) ints of m bits, so a graph whose worst
-    case, m * (P + 1) * m / 8 bytes, exceeds
-    ``graph_core.EDGE_BALL_BYTES_CAP`` raises ResourceLimit before the
-    search: Q11 and K64,64 run, Q12 and K128,128 are refused. Raises
+    Items. A (w, c) item exists for each vertex w of degree exactly d and
+    each color c not yet used at w; its options are the uncolored edges at w
+    that may still take c. An item with no option is a dead end, and an item
+    with one option forces that edge to c in one node that keeps no
+    alternative. The item state lives in the bit layout of
+    ``Graph.half_edge_layout``, where vertex w owns an F-bit field, F = W + 1
+    for the largest degree W: one bit per half-edge at w and a flag on top.
+    In ``H[c]`` the field of w is empty unless (w, c) is an item; then its
+    flag is set, and so is the bit of each half-edge at w whose edge allows
+    c and whose far end has not used it. ``uh`` holds the flags and the
+    half-edges of the uncolored edges, so the options of (w, c) are the
+    half-edge bits in w's field of ``H[c] & uh``. Coloring uv with c is one
+    AND, which clears the fields and far half-edges of u and v in ``H[c]``,
+    and one XOR of the two half-edges of uv out of ``uh``. A SWAR sweep of
+    about a dozen int operations per color finds the fields whose only bit
+    is the flag (dead items), and, once each field's lowest bit is cleared,
+    the items with one option.
+
+    The items are armed at the call's first dead end: a search that never
+    backtracks runs the edge search alone. From then on every branch point
+    sweeps first: a dead item is a dead end, and else the lowest-vertex
+    single item of the lowest color is forced. The first sweep builds ``H``
+    and ``uh`` once by replaying the stack, and each frame then also keeps
+    the ``H[c]`` it replaced. A sweep that finds neither leaves a clean
+    state, and backtracking to a frame pushed after it restores one, so the
+    next sweep looks only at the colors that have changed since: those
+    assigned, and those with an option among the half-edges colored.
+
+    Each frame holds P + 1 ints of m bits and, once armed, one of n * F
+    bits, so a graph whose worst case, m * (m * (P + 1) + n * F) / 8 bytes,
+    exceeds ``graph_core.EDGE_BALL_BYTES_CAP`` raises ResourceLimit before
+    the search: Q11 and K64,64 run, Q12 and K128,128 are refused. Raises
     ColorOutOfRange for a list on an edge that does not exist (colors
     outside 1..d are ignored, as forbidding nothing), OracleBudgetExceeded
     after ``limit`` assignment attempts, and ValueError for a negative
@@ -66,7 +94,7 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
         raise ValueError(f"node budget must be nonnegative, got {limit}")
     m = g.m
     width = max(1, d.bit_length())
-    frame_bytes = m * (width + 1) * m // 8
+    frame_bytes = m * (m * (width + 1) + g.n * (g.max_degree + 1)) // 8
     if frame_bytes > graph_core.EDGE_BALL_BYTES_CAP:
         raise ResourceLimit(f"oracle frames need up to {frame_bytes} bytes, "
                             f"above cap {graph_core.EDGE_BALL_BYTES_CAP}")
@@ -90,55 +118,96 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
     balls = g.edge_balls(0)
     used = [0] * g.n
     assignment = [0] * m
-    uncolored = set(range(m))
-    nodes = 0
+    nodes = item_forced = item_dead_ends = 0
+    armed = False
+    H = None  # the item state, built at the first sweep
 
-    # one frame per colored edge, pushed when its color is assigned:
-    # (edge, colors not yet tried, its color's bit, that color's avail and the planes before)
+    # one frame per colored edge, pushed when its color is assigned: (edge,
+    # colors not yet tried, its color's bit, that color's avail and the planes
+    # before, and that color's H before once H is built, else None)
     stack: list[tuple] = []
     while unc:
         high = 0
         for p in planes[1:]:
             high |= p
-        # the uncolored edges with at most one color left, else those with the fewest
-        pick = unc & ~high
-        if not pick:
+        pick = unc & ~high  # the uncolored edges with at most one color left
+        if pick:
+            pick &= -pick
+            dead = pick & ~planes[0]  # the lowest of them has none
+        else:
+            dead = 0
             pick = unc
             for p in reversed(planes):
                 if pick & ~p:
                     pick &= ~p
-        if pick & (pick - 1):
-            for e in uncolored:
-                if pick >> e & 1:
-                    break
-        else:
-            e = pick.bit_length() - 1
-        if (planes[0] | high) >> e & 1:
-            uncolored.remove(e)
-            unc ^= 1 << e
-            u, v = edges[e]
-            mask = allowed[e] & ~(used[u] | used[v])
-        else:
-            # a dead end: pop and undo frames until one has a color left to try
+            pick &= -pick
+            if armed:
+                if H is None:
+                    field_width, partner, ones, highs, lows, H, uh = _build_items(g, d, L, stack)
+                    # the frames pushed from here on start swept, those below never were
+                    armed_at = len(stack)
+                    stale, removed = full, 0
+                found = _sweep(H, uh, stale, removed, ones, highs, lows)
+                if found is None:
+                    item_dead_ends += 1
+                    dead = 1
+                elif found[0]:
+                    single, c = found
+                    item_forced += 1
+                    w = ((single & -single).bit_length() - 1) // field_width
+                    option = ((H[c] & uh) >> (w * field_width)) & ((1 << (field_width - 1)) - 1)
+                    e = g.adjacency[w][option.bit_length() - 1]
+                    pick = 0
+                else:
+                    # no item is dead or single: the branch frame starts clean
+                    stale = removed = 0
+        if dead:
+            # pop and undo frames until one has a color left to try
             while True:
                 if not stack:
-                    return OracleResult(False, None, nodes)
-                e, mask, bit, before, planes = stack.pop()
+                    return OracleResult(False, None, nodes, item_forced, item_dead_ends)
+                e, mask, bit, before, planes, before_h = stack.pop()
                 u, v = edges[e]
                 used[u] &= ~bit
                 used[v] &= ~bit
-                avail[bit.bit_length() - 1] = before
+                c = bit.bit_length() - 1
+                avail[c] = before
+                if H is not None:
+                    H[c] = before_h
+                    uh ^= partner[u] & partner[v]
                 if mask:
                     break
-                uncolored.add(e)
                 unc |= 1 << e
+            armed = True
+            if H is not None:
+                # back at the clean state where that frame was pushed, if it was swept
+                stale = 0 if len(stack) >= armed_at else full
+                removed = 0
+        else:
+            if pick:
+                e = pick.bit_length() - 1
+                u, v = edges[e]
+                mask = allowed[e] & ~(used[u] | used[v])
+            else:
+                u, v = edges[e]
+                mask = 1 << c
+            unc ^= 1 << e
         bit = mask & -mask
         nodes += 1
         if nodes > limit:
             raise OracleBudgetExceeded(nodes)
         c = bit.bit_length()
         before = avail[c - 1]
-        stack.append((e, mask ^ bit, bit, before, planes))
+        if H is None:
+            stack.append((e, mask ^ bit, bit, before, planes, None))
+        else:
+            before_h = H[c - 1]
+            stack.append((e, mask ^ bit, bit, before, planes, before_h))
+            H[c - 1] = before_h & ~(partner[u] | partner[v])
+            halves = partner[u] & partner[v]
+            uh ^= halves
+            removed |= halves
+            stale |= bit
         assignment[e] = c
         used[u] |= bit
         used[v] |= bit
@@ -149,7 +218,69 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
             counted.append(p ^ lost)
             lost &= ~p
         planes = counted
-    return OracleResult(True, EdgeColoring(tuple(assignment), d), nodes)
+    return OracleResult(True, EdgeColoring(tuple(assignment), d), nodes,
+                        item_forced, item_dead_ends)
+
+
+def _build_items(g: Graph, d: int, L: ListAssignment, stack: list[tuple]) -> tuple:
+    """The item state for ``oracle_avoidable``, built by replaying its stack.
+
+    Returns F, ``partner``, the SWAR constants (the low bit, the flag and the
+    half-edge bits of every field), ``H`` and ``uh``. Each frame on the
+    stack gets the ``H[c]`` its color replaced.
+    """
+    width, field, partner = g.half_edge_layout()
+    ones = ((1 << g.n * width) - 1) // ((1 << width) - 1)
+    highs = ones << width - 1
+    if 2 * g.m == g.n * (width - 1) == g.n * d:
+        # d-regular: every field is full and belongs to a degree-d vertex
+        uh = items = (highs << 1) - ones
+    else:
+        uh = sum(field)
+        items = sum(f for f, adj in zip(field, g.adjacency) if len(adj) == d)
+    H = [items] * d
+    edges = g.edges
+    for e, colors in L.items():
+        u, v = edges[e]
+        halves = partner[u] & partner[v]
+        for c in colors:
+            if 1 <= c <= d:
+                H[c - 1] &= ~halves
+    for i, (e, rest, bit, before, planes, _) in enumerate(stack):
+        u, v = edges[e]
+        c = bit.bit_length() - 1
+        before_h = H[c]
+        H[c] = before_h & ~(partner[u] | partner[v])
+        uh ^= partner[u] & partner[v]
+        stack[i] = (e, rest, bit, before, planes, before_h)
+    return width, partner, ones, highs, highs - ones, H, uh
+
+
+def _sweep(H: list[int], uh: int, stale: int, removed: int, ones: int, highs: int,
+           lows: int) -> tuple[int, int] | None:
+    """None if some (vertex, color) item is dead, else (single, c): the flags
+    of the items with exactly one option in the lowest color c that has any,
+    or single = 0 if no item has one option.
+
+    Only the colors that may have changed since the search was last clean
+    are looked at: those in the bitmask ``stale``, whose ``H[c]`` changed,
+    and those with an option among the ``removed`` half-edges. A field whose
+    only bit is its flag is found without a loop: adding the full value of
+    the low F - 1 bits carries into the flag exactly when one of them is set.
+    Clearing each field's lowest set bit first (no borrow crosses a field
+    once every flag is set) finds the items with one option in the same way.
+    """
+    single = color = 0
+    for c, h in enumerate(H):
+        if stale >> c & 1 or h & removed:
+            x = h & uh
+            if x & ~((x & lows) + lows) & highs:
+                return None
+            if not single:
+                y = ((x | highs) - ones) & x
+                single = y & ~((y & lows) + lows) & highs
+                color = c
+    return single, color
 
 
 def oracle_cycle_census(g: Graph, f: EdgeColoring) -> dict[int, int]:

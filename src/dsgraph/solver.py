@@ -31,8 +31,8 @@ from .errors import (PermutationBudgetExceeded, PermutationNotFound,
 # is_proper, swap_cycle and t_neighborhood are unused here but wrapped by
 # perfbench/tracing.py.
 from .graph_core import (EdgeColoring, FourCycle, Graph, apply_swaps,
-                         color_table, is_proper, properness_witness, standard_matchings,
-                         swap_cycle, t_neighborhood, two_colored_cycles_through)
+                         color_table, is_proper, properness_witness, swap_cycle,
+                         t_neighborhood, two_colored_cycles_through)
 from .list_assignments import (ListAssignment, _check_colors, as_fraction, conflict_edges,
                                support_is_distance2_matching)
 
@@ -388,7 +388,7 @@ def construct_swap_plan(cg: ColoredGraph, hprime: EdgeColoring, L: ListAssignmen
     # edge sets are bitmasks over edge indices; incident[w] holds the edges at w
     conflict_mask = sum(1 << f for f in conflicts)
     incident = g.edge_balls(0)
-    class_mask = [sum(1 << f for f in m) for m in standard_matchings(g, h)]
+    class_mask = cg.class_masks()
     table = color_table(g, hprime)
     used = 0
     cycles: list[FourCycle] = []

@@ -118,3 +118,87 @@ def ref_generate_sparse(cg, beta, seed):
         per_vertex[(v, c)] += 1
         add_count(counts, w6)
     return dg.ListAssignment({e: frozenset(cs) for e, cs in lists.items()})
+
+
+def edge_oracle(g, d, L, limit):
+    """``oracle_avoidable`` as it stood before it reasoned on (vertex, color)
+    items: the edge search on bit-sliced color counters, ties to the first
+    edge in the order of one ``uncolored`` set. Kept as the reference whose
+    node count, witness and budget point equal those of the recursive and
+    scanning searches in ``tests/test_oracle.py``, in their result shape:
+    (avoidable, colors or None, nodes), or ("budget", nodes)."""
+    m = g.m
+    width = max(1, d.bit_length())
+    full = (1 << d) - 1
+    allowed = [full] * m
+    forbidden = [0] * d
+    for e, colors in L.items():
+        for c in colors:
+            if 1 <= c <= d:
+                allowed[e] &= ~(1 << (c - 1))
+                forbidden[c - 1] |= 1 << e
+    unc = (1 << m) - 1
+    avail = [unc ^ f for f in forbidden]
+    planes = [0] * width
+    for carry in avail:
+        for i, p in enumerate(planes):
+            planes[i], carry = p ^ carry, p & carry
+    edges = g.edges
+    balls = g.edge_balls(0)
+    used = [0] * g.n
+    assignment = [0] * m
+    uncolored = set(range(m))
+    nodes = 0
+    stack = []
+    while unc:
+        high = 0
+        for p in planes[1:]:
+            high |= p
+        pick = unc & ~high
+        if not pick:
+            pick = unc
+            for p in reversed(planes):
+                if pick & ~p:
+                    pick &= ~p
+        if pick & (pick - 1):
+            for e in uncolored:
+                if pick >> e & 1:
+                    break
+        else:
+            e = pick.bit_length() - 1
+        if (planes[0] | high) >> e & 1:
+            uncolored.remove(e)
+            unc ^= 1 << e
+            u, v = edges[e]
+            mask = allowed[e] & ~(used[u] | used[v])
+        else:
+            while True:
+                if not stack:
+                    return False, None, nodes
+                e, mask, bit, before, planes = stack.pop()
+                u, v = edges[e]
+                used[u] &= ~bit
+                used[v] &= ~bit
+                avail[bit.bit_length() - 1] = before
+                if mask:
+                    break
+                uncolored.add(e)
+                unc |= 1 << e
+        bit = mask & -mask
+        nodes += 1
+        if nodes > limit:
+            return "budget", nodes
+        c = bit.bit_length()
+        before = avail[c - 1]
+        stack.append((e, mask ^ bit, bit, before, planes))
+        assignment[e] = c
+        used[u] |= bit
+        used[v] |= bit
+        lost = before & (balls[u] | balls[v])
+        avail[c - 1] = before ^ lost
+        counted = []
+        for p in planes:
+            counted.append(p ^ lost)
+            lost &= ~p
+        planes = counted
+    return True, tuple(assignment), nodes

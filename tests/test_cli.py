@@ -195,11 +195,17 @@ def test_oracle_negative_budget_is_usage_error(tmp_path, capsys):
 
 
 def test_oracle_budget_on_q8_is_undecided_not_a_crash(tmp_path, capsys):
-    # the search is m = 1024 edges deep here
+    # the search is m = 1024 edges deep here; 3000 nodes decide it, 1000 do not
     f = str(tmp_path / "q8.json")
     run(capsys, "construct", "--family", "hypercube", "--d", "8", "--out", f)
     run(capsys, "gen-lists", f, "--distance2", "--seed", "10")
-    code, _, err = run(capsys, "oracle", f, "--budget", "3000")
+    w = str(tmp_path / "wit.json")
+    code, out, _ = run(capsys, "oracle", f, "--budget", "3000", "--out", w)
+    assert code == 0 and out.startswith("avoidable (1101 nodes, 57 item-forced, 2 item dead ends)")
+    witness = dg.load_instance(w)
+    assert len(witness.solution) == 1024
+    assert dg.verify_solution(dg.to_colored_graph(witness), witness.solution, witness.lists)
+    code, _, err = run(capsys, "oracle", f, "--budget", "1000")
     assert code == 1
     assert "undecided" in err and "Traceback" not in err
 
@@ -207,7 +213,7 @@ def test_oracle_budget_on_q8_is_undecided_not_a_crash(tmp_path, capsys):
 def test_oracle_reports_the_frame_byte_cap(tmp_path, capsys, monkeypatch):
     f = str(tmp_path / "q3.json")
     run(capsys, "construct", "--family", "hypercube", "--d", "3", "--out", f)
-    # Q3's frames need 12 * 3 * 12 / 8 = 54 bytes
+    # Q3's frames need 12 * (12 * 3 + 8 * 4) / 8 = 102 bytes
     monkeypatch.setattr(dg.graph_core, "EDGE_BALL_BYTES_CAP", 53)
     code, out, err = run(capsys, "oracle", f)
     assert code == 2

@@ -224,3 +224,19 @@ def test_replace_starts_an_empty_memo():
     assert [unflatten(flat) for flat in recolored.standard_cycles(range(q4.graph.m))] == \
         [_cycle_tuples(q4.graph, f.colors, f.d, e, table) for e in range(q4.graph.m)]
     assert all(flat is not None for flat in q4._cycle_memo)
+
+
+@pytest.mark.parametrize("label", sorted(BUILDERS))
+def test_class_masks_memo_matches_a_fresh_build(label):
+    cg = BUILDERS[label]()
+    assert cg._class_masks == []
+    fresh = [sum(1 << e for e in m) for m in dg.standard_matchings(cg.graph, cg.coloring)]
+    masks = cg.class_masks()
+    assert masks == fresh and len(masks) == cg.d
+    assert cg.class_masks() is masks
+    # a copy with another coloring builds its own
+    images = list(range(cg.d, 0, -1))
+    f = dg.apply_permutation(cg.coloring, dg.Permutation(tuple(images)))
+    recolored = dataclasses.replace(cg, coloring=f)
+    assert recolored._class_masks == []
+    assert recolored.class_masks() == fresh[::-1]

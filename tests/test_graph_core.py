@@ -379,3 +379,24 @@ def test_swap_then_recount_preserves_s(edge, which):
     # swaps keep properness, so s stays well defined (value may change)
     assert dg.is_proper(g, f)
     assert dg.compute_s(g, f) >= 1
+
+
+def test_half_edge_layout_gives_each_half_edge_one_bit():
+    graphs = [dg.hypercube(3).graph, dg.complete_bipartite_pow2(2).graph,
+              dg.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+              dg.Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)]),
+              dg.Graph(0, ())]
+    for g in graphs:
+        layout = g.half_edge_layout()
+        F, field, partner = layout
+        assert F == max((len(a) for a in g.adjacency), default=0) + 1
+        slot = {(w, e): 1 << (w * F + j)
+                for w, adj in enumerate(g.adjacency) for j, e in enumerate(adj)}
+        for w, adj in enumerate(g.adjacency):
+            flag = 1 << (w * F + F - 1)
+            assert field[w] == sum(slot[(w, e)] for e in adj) | flag
+            far = sum(slot[(g.other_endpoint(e, w), e)] for e in adj)
+            assert partner[w] == field[w] | far
+        for e, (u, v) in enumerate(g.edges):
+            assert partner[u] & partner[v] == slot[(u, e)] | slot[(v, e)]
+        assert g.half_edge_layout() is layout

@@ -1,8 +1,10 @@
 """Exact avoidability oracle and independent cycle census."""
 
 import itertools
+import random
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 import pytest
 
 import dsgraph as dg
-from tests.conftest import random_lists
+from tests.conftest import edge_oracle, random_lists
 
 
 def test_oracle_trivial_empty_lists(q3):
@@ -174,6 +176,18 @@ def counter_oracle(g, d, L, limit):
     return res.avoidable, res.witness.colors if res.avoidable else None, res.nodes_explored
 
 
+def assert_item_search_agrees(g, d, L, ref, limit=3000):
+    """``oracle_avoidable`` reaches ``ref``'s verdict wherever both decide,
+    and each witness it returns passes ``verify_solution``."""
+    got = counter_oracle(g, d, L, limit)
+    if got[0] is True:
+        witness = dg.EdgeColoring(got[1], d)
+        assert dg.verify_solution(SimpleNamespace(graph=g, d=d), witness, L)
+    if "budget" not in (got[0], ref[0]):
+        assert got[0] == ref[0]
+    return got
+
+
 # The recursive reference recurses up to m deep, so it stops at K16,16
 # (m = 256). The benchmark's oracle group also runs Q7, and Q8 seeds 0 and
 # 10; those shapes, and K32,32 with its 6 counter planes, are compared with
@@ -196,12 +210,14 @@ def oracle_lists(cg, distance2, seed):
 @given(st.sampled_from(sorted(ORACLE_GRAPHS)), st.booleans(),
        st.integers(min_value=0, max_value=10 ** 6))
 def test_oracle_matches_recursive_reference(name, distance2, seed):
-    # same branching order, set-order ties included, so the same witness,
-    # node count and budget point
+    # the three edge searches branch alike, set-order ties included, so they
+    # share witness, node count and budget point; the item search, which
+    # branches otherwise, is held to their verdict
     cg = ORACLE_GRAPHS[name]
     L = oracle_lists(cg, distance2, seed)
-    assert counter_oracle(cg.graph, cg.d, L, 3000) == \
-        recursive_oracle(cg.graph, cg.d, L, 3000)
+    ref = recursive_oracle(cg.graph, cg.d, L, 3000)
+    assert scan_oracle(cg.graph, cg.d, L, 3000) == edge_oracle(cg.graph, cg.d, L, 3000) == ref
+    assert_item_search_agrees(cg.graph, cg.d, L, ref)
 
 
 @settings(deadline=None, max_examples=30)
@@ -210,14 +226,48 @@ def test_oracle_matches_recursive_reference(name, distance2, seed):
 def test_oracle_matches_scanning_reference_beyond_recursion_depth(name, distance2, seed):
     cg = DEEP_GRAPHS[name]
     L = oracle_lists(cg, distance2, seed)
-    assert counter_oracle(cg.graph, cg.d, L, 3000) == scan_oracle(cg.graph, cg.d, L, 3000)
+    ref = scan_oracle(cg.graph, cg.d, L, 3000)
+    assert edge_oracle(cg.graph, cg.d, L, 3000) == ref
+    assert_item_search_agrees(cg.graph, cg.d, L, ref)
 
 
 def test_oracle_pinned_benchmark_q8_instances_match_the_scan():
+    # the edge searches run out of budget on both; the item search decides
     q8 = DEEP_GRAPHS["Q8"]
     for seed in (0, 10):
         L = dg.generate_distance2(q8, seed, q8.s_measured - 1)
-        assert counter_oracle(q8.graph, 8, L, 3000) == scan_oracle(q8.graph, 8, L, 3000)
+        ref = scan_oracle(q8.graph, 8, L, 3000)
+        assert edge_oracle(q8.graph, 8, L, 3000) == ref == ("budget", 3001)
+        assert assert_item_search_agrees(q8.graph, 8, L, ref)[0] is True
+
+
+# Small graphs that are not d-regular, or where d exceeds every degree: only
+# vertices of degree exactly d carry (vertex, color) items
+IRREGULAR_GRAPHS = [
+    (dg.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), 2),
+    (dg.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), 3),
+    (dg.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), 2),
+    (dg.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), 3),
+    (dg.Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)
+                             if (u, v) != (0, 3)]), 3),
+    (dg.hypercube(3).graph, 4),
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(min_value=0, max_value=len(IRREGULAR_GRAPHS) - 1),
+       st.sampled_from((0.2, 0.3, 0.4)), st.integers(min_value=0, max_value=10 ** 6))
+def test_item_search_matches_the_edge_searches_off_degree_d(index, density, seed):
+    g, d = IRREGULAR_GRAPHS[index]
+    rng = random.Random(seed)
+    L = dg.ListAssignment.from_dict({e: [c for c in range(1, d + 1) if rng.random() < density]
+                                     for e in range(g.m)})
+    ref = recursive_oracle(g, d, L, 3000)
+    assert scan_oracle(g, d, L, 3000) == edge_oracle(g, d, L, 3000) == ref
+    assert assert_item_search_agrees(g, d, L, ref)[0] == ref[0]
+    if d not in map(len, g.adjacency):
+        res = dg.oracle_avoidable(g, d, L)
+        assert res.item_forced == res.item_dead_ends == 0
 
 
 def test_oracle_plane_width_edge_cases():
@@ -252,7 +302,10 @@ def test_oracle_ignores_colors_outside_the_palette(q3):
 
 
 def frame_bytes(m, d):
-    return m * (max(1, d.bit_length()) + 1) * m // 8
+    """The oracle's worst-case frame bytes on a d-regular graph with m edges:
+    m frames of P + 1 edge masks and one mask of n = 2m / d fields of d + 1
+    bits, P = max(1, d.bit_length())."""
+    return m * (m * (max(1, d.bit_length()) + 1) + 2 * m * (d + 1) // d) // 8
 
 
 def test_oracle_refuses_frames_above_the_byte_cap_before_any_node(q3, monkeypatch):
@@ -290,12 +343,51 @@ def test_oracle_byte_cap_admits_the_benchmark_shapes():
 
 
 def test_oracle_budget_not_recursion_limit_on_q8():
-    # depth m = 1024 exceeded the interpreter's recursion limit before the budget
+    # depth m = 1024 exceeded the interpreter's recursion limit before the
+    # budget; the item search decides within it, and runs out below it
     q8 = dg.hypercube(8)
     L = dg.generate_distance2(q8, 10, q8.s_measured - 1)
+    res = dg.oracle_avoidable(q8.graph, q8.d, L, limit=3000)
+    assert res.avoidable and len(res.witness) == q8.graph.m == 1024
+    assert dg.verify_solution(q8, res.witness, L)
     with pytest.raises(dg.OracleBudgetExceeded) as ei:
-        dg.oracle_avoidable(q8.graph, q8.d, L, limit=3000)
-    assert ei.value.nodes_explored == 3001
+        dg.oracle_avoidable(q8.graph, q8.d, L, limit=res.nodes_explored - 1)
+    assert ei.value.nodes_explored == res.nodes_explored
+
+
+def test_oracle_reports_item_counters():
+    # pinned: the lowest-id tie-break and the item rule fix every count
+    q8 = dg.hypercube(8)
+    L = dg.generate_distance2(q8, 0, q8.s_measured - 1)
+    res = dg.oracle_avoidable(q8.graph, q8.d, L, limit=3000)
+    assert (res.avoidable, res.nodes_explored, res.item_forced, res.item_dead_ends) == \
+        (True, 1234, 71, 34)
+    # a search that never backtracks arms no items
+    res = dg.oracle_avoidable(q8.graph, q8.d, dg.EMPTY)
+    assert (res.nodes_explored, res.item_forced, res.item_dead_ends) == (1024, 0, 0)
+
+
+def test_incremental_sweeps_find_what_full_sweeps_find(monkeypatch):
+    # a sweep looks only at the colors changed since the search was clean;
+    # looking at all of them must find the same dead end or forced item
+    sweep = dg.oracle._sweep
+    partial = []
+
+    def checked(H, uh, stale, removed, *fields):
+        got = sweep(H, uh, stale, removed, *fields)
+        full = sweep(H, uh, (1 << len(H)) - 1, 0, *fields)
+        assert (got is None) == (full is None)
+        if got is not None:
+            assert got[0] == full[0] and (not got[0] or got[1] == full[1])
+        partial.append(stale != (1 << len(H)) - 1)
+        return got
+
+    monkeypatch.setattr(dg.oracle, "_sweep", checked)
+    for cg in (ORACLE_GRAPHS["Q5"], ORACLE_GRAPHS["K8,8"], ORACLE_GRAPHS["Q6"]):
+        for seed in range(12):
+            for distance2 in (False, True):
+                counter_oracle(cg.graph, cg.d, oracle_lists(cg, distance2, seed), 3000)
+    assert len(partial) > 200 and sum(partial) > len(partial) // 2
 
 
 def test_oracle_witness_always_verifies(q3, k44):

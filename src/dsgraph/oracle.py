@@ -67,9 +67,8 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
     half-edge bits in w's field of ``H[c] & uh``. Coloring uv with c is one
     AND, which clears the fields and far half-edges of u and v in ``H[c]``,
     and one XOR of the two half-edges of uv out of ``uh``. A SWAR sweep of
-    about a dozen int operations per color finds the fields whose only bit
-    is the flag (dead items), and, once each field's lowest bit is cleared,
-    the items with one option.
+    about ten int operations per color finds the items with at most one
+    option, and among them the dead ones.
 
     The items are armed at the call's first dead end: a search that never
     backtracks runs the edge search alone. From then on every branch point
@@ -264,22 +263,24 @@ def _sweep(H: list[int], uh: int, stale: int, removed: int, ones: int, highs: in
 
     Only the colors that may have changed since the search was last clean
     are looked at: those in the bitmask ``stale``, whose ``H[c]`` changed,
-    and those with an option among the ``removed`` half-edges. A field whose
-    only bit is its flag is found without a loop: adding the full value of
-    the low F - 1 bits carries into the flag exactly when one of them is set.
-    Clearing each field's lowest set bit first (no borrow crosses a field
-    once every flag is set) finds the items with one option in the same way.
+    and those with an option among the ``removed`` half-edges. Per field,
+    adding the full value of the low F - 1 bits carries into the flag
+    exactly when one of them is set. Clearing each field's lowest set bit
+    first (no borrow crosses a field once every flag is set) leaves no
+    option bit in the items with at most one option; of those, the ones
+    whose own option bits carry nothing are dead.
     """
     single = color = 0
     for c, h in enumerate(H):
         if stale >> c & 1 or h & removed:
             x = h & uh
-            if x & ~((x & lows) + lows) & highs:
-                return None
-            if not single:
-                y = ((x | highs) - ones) & x
-                single = y & ~((y & lows) + lows) & highs
-                color = c
+            y = ((x | highs) - ones) & x
+            few = x & ~((y & lows) + lows) & highs
+            if few:
+                if few & ~((x & lows) + lows):
+                    return None
+                if not single:
+                    single, color = few, c
     return single, color
 
 

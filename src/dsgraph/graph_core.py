@@ -70,7 +70,7 @@ class Graph:
         # the endpoint columns: edge e is (tails[e], heads[e])
         self.tails, self.heads = tuple(zip(*edges)) or ((), ())
         self._balls: dict[int, tuple[int, ...]] = {}
-        self._half_edges: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
+        self._half_edges: tuple[int, dict[int, int], tuple[int, ...]] | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -151,28 +151,30 @@ class Graph:
         self._balls[t] = out
         return out
 
-    def half_edge_layout(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(F, field, partner): the half-edge bit layout of the exact oracle.
+    def half_edge_layout(self) -> tuple[int, dict[int, int], tuple[int, ...]]:
+        """(F, fields, partner): the half-edge bit layout of the exact oracle.
 
         F is the largest degree plus one, and vertex w owns the F bits from
-        w * F up: bit w * F + j stands for the half-edge at w of
+        w * F up, its field: bit w * F + j stands for the half-edge at w of
         ``adjacency[w][j]``, and the top bit, w * F + F - 1, is a flag no
-        half-edge uses. ``field[w]`` holds w's half-edges and flag, and
-        ``partner[w]`` adds the far half-edges of the edges at w (for an edge
-        wx, its half-edge at x), so the two half-edges of an edge uv are
+        half-edge uses. ``fields[k]`` is the sum of the fields (half-edges
+        and flag) of the vertices of degree k, and ``partner[w]`` holds w's
+        field and the far half-edges of the edges at w (for an edge wx, its
+        half-edge at x), so the two half-edges of an edge uv are
         ``partner[u] & partner[v]``. Cached.
         """
         if self._half_edges is None:
             width = self.max_degree + 1
-            field = []
+            fields: dict[int, int] = {}
             partner = [0] * self.n
             for x, adj in enumerate(self.adjacency):
                 base = x * width
-                field.append(((1 << len(adj)) - 1 | 1 << width - 1) << base)
+                field = ((1 << len(adj)) - 1 | 1 << width - 1) << base
+                fields[len(adj)] = fields.get(len(adj), 0) | field
+                partner[x] |= field
                 for j, e in enumerate(adj):
                     partner[self.other_endpoint(e, x)] |= 1 << (base + j)
-            self._half_edges = (width, tuple(field),
-                                tuple(p | f for p, f in zip(partner, field)))
+            self._half_edges = (width, fields, tuple(partner))
         return self._half_edges
 
     def nbhd_mask(self, e: int, t: int) -> int:

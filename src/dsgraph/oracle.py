@@ -71,11 +71,11 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
     option, and among them the dead ones.
 
     The items are armed at the call's first dead end: a search that never
-    backtracks runs the edge search alone. From then on every branch point
-    sweeps first: a dead item is a dead end, and else the lowest-vertex
-    single item of the lowest color is forced. The first sweep builds ``H``
-    and ``uh`` once by replaying the stack, and each frame then also keeps
-    the ``H[c]`` it replaced. A sweep that finds neither leaves a clean
+    backtracks runs the edge search alone. That dead end builds ``H`` and
+    ``uh`` once by replaying the stack, and each frame then also keeps the
+    ``H[c]`` it replaced. From then on every branch point sweeps first: a
+    dead item is a dead end, and else the lowest-vertex single item of the
+    lowest color is forced. A sweep that finds neither leaves a clean
     state, and backtracking to a frame pushed after it restores one, so the
     next sweep looks only at the colors that have changed since: those
     assigned, and those with an option among the half-edges colored.
@@ -118,8 +118,7 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
     used = [0] * g.n
     assignment = [0] * m
     nodes = item_forced = item_dead_ends = 0
-    armed = False
-    H = None  # the item state, built at the first sweep
+    H = None  # the item state, built at the first dead end
 
     # one frame per colored edge, pushed when its color is assigned: (edge,
     # colors not yet tried, its color's bit, that color's avail and the planes
@@ -140,12 +139,7 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
                 if pick & ~p:
                     pick &= ~p
             pick &= -pick
-            if armed:
-                if H is None:
-                    field_width, partner, ones, highs, lows, H, uh = _build_items(g, d, L, stack)
-                    # the frames pushed from here on start swept, those below never were
-                    armed_at = len(stack)
-                    stale, removed = full, 0
+            if H is not None:
                 found = _sweep(H, uh, stale, removed, ones, highs, lows)
                 if found is None:
                     item_dead_ends += 1
@@ -177,11 +171,15 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
                 if mask:
                     break
                 unc |= 1 << e
-            armed = True
-            if H is not None:
+            if H is None:
+                field_width, partner, ones, highs, lows, H, uh = _build_items(g, d, L, stack)
+                # the frames pushed after the next one start swept, those below never were
+                armed_at = len(stack) + 1
+                stale = full
+            else:
                 # back at the clean state where that frame was pushed, if it was swept
                 stale = 0 if len(stack) >= armed_at else full
-                removed = 0
+            removed = 0
         else:
             if pick:
                 e = pick.bit_length() - 1
@@ -228,16 +226,11 @@ def _build_items(g: Graph, d: int, L: ListAssignment, stack: list[tuple]) -> tup
     half-edge bits of every field), ``H`` and ``uh``. Each frame on the
     stack gets the ``H[c]`` its color replaced.
     """
-    width, field, partner = g.half_edge_layout()
+    width, fields, partner = g.half_edge_layout()
     ones = ((1 << g.n * width) - 1) // ((1 << width) - 1)
     highs = ones << width - 1
-    if 2 * g.m == g.n * (width - 1) == g.n * d:
-        # d-regular: every field is full and belongs to a degree-d vertex
-        uh = items = (highs << 1) - ones
-    else:
-        uh = sum(field)
-        items = sum(f for f, adj in zip(field, g.adjacency) if len(adj) == d)
-    H = [items] * d
+    uh = sum(fields.values())
+    H = [fields.get(d, 0)] * d
     edges = g.edges
     for e, colors in L.items():
         u, v = edges[e]

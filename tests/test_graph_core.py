@@ -388,15 +388,17 @@ def test_half_edge_layout_gives_each_half_edge_one_bit():
               dg.Graph(0, ())]
     for g in graphs:
         layout = g.half_edge_layout()
-        F, field, partner = layout
+        F, fields, partner = layout
         assert F == max((len(a) for a in g.adjacency), default=0) + 1
         slot = {(w, e): 1 << (w * F + j)
                 for w, adj in enumerate(g.adjacency) for j, e in enumerate(adj)}
+        field = [sum(slot[(w, e)] for e in adj) | 1 << (w * F + F - 1)
+                 for w, adj in enumerate(g.adjacency)]
         for w, adj in enumerate(g.adjacency):
-            flag = 1 << (w * F + F - 1)
-            assert field[w] == sum(slot[(w, e)] for e in adj) | flag
             far = sum(slot[(g.other_endpoint(e, w), e)] for e in adj)
             assert partner[w] == field[w] | far
+        assert fields == {k: sum(f for f, adj in zip(field, g.adjacency) if len(adj) == k)
+                          for k in {len(adj) for adj in g.adjacency}}
         for e, (u, v) in enumerate(g.edges):
             assert partner[u] & partner[v] == slot[(u, e)] | slot[(v, e)]
         assert g.half_edge_layout() is layout

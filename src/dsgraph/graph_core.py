@@ -33,17 +33,25 @@ The partner is read off the same table: when ``table[z][a]`` and
 ``table[t][a]`` name one edge, that a-colored edge joins z and t. That cycle
 test lives in one place, ``_cycle_tuples``, which returns plain
 (c, e_vz, e_tu, partner) tuples in O(d) work per edge:
-``two_colored_cycles_through`` wraps them into ``FourCycle``s, phase one's
-checker reads them raw from the per-graph memo
-``ColoredGraph.standard_cycles``, and ``compute_s`` counts them.
+``two_colored_cycles_through`` wraps them into ``FourCycle``s, and phase
+one's checker reads them raw from the per-graph memo
+``ColoredGraph.standard_cycles``.
+
+The census behind the certified s, ``compute_s``, needs only how many
+cycles pass through each edge, so on a proper, total coloring it counts per
+color pair, at C level, the vertices where the walk c, a, c, a closes; other
+colorings are counted edge by edge with ``_cycle_tuples``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import eq, itemgetter, ne
 
 from .errors import IncompleteColoring, NotTwoColored, ResourceLimit
 
@@ -434,16 +442,79 @@ def two_colored_cycles_through(g: Graph, f: EdgeColoring, e: int,
     return tuple(out)
 
 
+def _partner_rows(g: Graph, colors, d: int) -> list[list[int]] | None:
+    """Per color c, the list p with p[w] the far end of w's c-colored edge.
+
+    Index n is a sink: p[w] = n where w has no c-colored edge, and p[n] = n.
+    One pass over the edges; None unless the coloring covers every edge with
+    a color in 1..d, repeats no (vertex, color) slot and meets no loop.
+    """
+    sink = g.n
+    if len(colors) != g.m or 0 in colors:
+        return None
+    rows = [[sink] * (sink + 1) for _ in range(d + 1)]
+    for u, v, c in zip(g.tails, g.heads, colors):
+        row = rows[c]
+        if row[u] != sink or row[v] != sink or u == v:
+            return None
+        row[u] = v
+        row[v] = u
+    return rows
+
+
 def compute_s(g: Graph, f: EdgeColoring) -> int:
     """1 + the minimum over edges of the two-colored 4-cycle count.
 
     The certified s of a colored graph: every edge lies in at least s-1
     two-colored 4-cycles. Equals 1 on 4-cycle-free graphs; never exceeds d.
+
+    On a proper, total coloring the census runs per color pair, not per
+    edge. With p_c the partner rows of ``_partner_rows``, the walk c, a, c, a
+    from w returns to w exactly when w lies on the a-c cycle u-v-z-t through
+    its a-colored and its c-colored edge, so the fixed points of
+    (p_a o p_c)^2, composed at C level by ``operator.itemgetter``, are the
+    vertices of the a-c cycles. Each pair adds its fixed points to the
+    (vertex, a) and (vertex, c) lanes of one integer per color, and s - 1 is
+    the least lane of a slot that holds an edge. A lane is wide enough for d
+    (the sink lane reaches d - 1). Any other coloring, and a palette of more
+    than twice the average degree, where most pairs would meet nowhere,
+    counts the tuples of ``_cycle_tuples`` edge by edge.
     """
     if g.m == 0:
         return 1
-    table = color_table(g, f)
-    return 1 + min(len(_cycle_tuples(g, f.colors, f.d, e, table)) for e in range(g.m))
+    colors, d, sink = f.colors, f.d, g.n
+    # d * d * n / 2 lane steps against about m * d: a palette of more than
+    # twice the average degree is counted edge by edge
+    rows = _partner_rows(g, colors, d) if d * sink <= 4 * g.m else None
+    if rows is None:
+        table = color_table(g, f)
+        return 1 + min(len(_cycle_tuples(g, colors, d, e, table)) for e in range(g.m))
+    for width, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")):  # memoryview formats
+        if d < 256 ** width:
+            break
+    order = sys.byteorder
+    low = 0 if order == "little" else width - 1  # the lane's low byte
+    buf = bytearray(width * (sink + 1))
+    buf[low::width] = b"\1" * (sink + 1)
+    every = int.from_bytes(buf, order)
+    fixed = tuple(range(sink + 1))
+    steps = [itemgetter(*row) for row in rows]  # steps[c](x)[w] = x[p_c[w]]
+    counts = [0] * (d + 1)
+    for a in range(1, d):
+        pa = rows[a]
+        for c in range(a + 1, d + 1):
+            q = steps[c](pa)
+            q = itemgetter(*q)(q)
+            if q == fixed:  # every vertex lies on an a-c cycle, as when s = d
+                lane = every
+            else:
+                buf[low::width] = bytes(map(eq, q, fixed))
+                lane = int.from_bytes(buf, order)
+            counts[a] += lane
+            counts[c] += lane
+    lanes = b"".join(map(int.to_bytes, counts[1:], repeat(len(buf)), repeat(order)))
+    return 1 + min(compress(memoryview(lanes).cast(code),
+                            map(ne, chain.from_iterable(rows[1:]), repeat(sink))))
 
 
 def standard_matchings(g: Graph, h: EdgeColoring) -> tuple[frozenset[int], ...]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import lt
 
 from .constructors import ColoredGraph, _certify
 from .errors import InvalidInstance
@@ -64,13 +66,102 @@ def _err(invariant: str) -> InvalidInstance:
     return InvalidInstance(invariant)
 
 
+def _only(values, kind: type) -> bool:
+    """True iff every value has exactly the type kind (so bool is no int)."""
+    return set(map(type, values)) <= {kind}
+
+
+def _in_range(values, lo: int, hi: int) -> bool:
+    return not values or lo <= min(values) and max(values) <= hi
+
+
+# Each invariant is first checked over whole arrays at C level. Only when such
+# a pass fails does the per-item loop run, which raises the message of the
+# first broken item; it also accepts what the passes leave to it (subclasses
+# of list and int), as it always has.
+
 def _check_color_array(values, m: int, d: int, name: str) -> tuple[int, ...]:
     if not isinstance(values, list) or len(values) != m:
         raise _err(f"{name}: length must equal the number of edges ({m})")
-    for c in values:
-        if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= d:
-            raise _err(f"{name}: colors must be integers in 1..{d}")
+    if not (_only(values, int) and _in_range(values, 1, d)):
+        for c in values:
+            if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= d:
+                raise _err(f"{name}: colors must be integers in 1..{d}")
     return tuple(values)
+
+
+def _check_edges(raw: list, n: int) -> list[tuple[int, int]]:
+    if _only(raw, list) and set(map(len, raw)) <= {2}:
+        tails, heads = zip(*raw) if raw else ((), ())
+        # each u < v, so the least u and the largest v bound all the others
+        if (_only(tails, int) and _only(heads, int) and all(map(lt, tails, heads))
+                and 0 <= min(tails, default=0) and max(heads, default=0) < n):
+            return list(zip(tails, heads))
+    edges = []
+    for item in raw:
+        if (not isinstance(item, list) or len(item) != 2
+                or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
+            raise _err("edges: each entry must be a pair of integers")
+        u, v = item
+        if not 0 <= u < v < n:
+            raise _err("edges: must be canonical (0 <= u < v < n)")
+        edges.append((u, v))
+    return edges
+
+
+def _edge_ids(keys: list, m: int) -> list[int] | None:
+    """The edge of each key when every key is some str(e) with 0 <= e < m."""
+    if not _only(keys, str):
+        return None
+    try:
+        ids = list(map(int, keys))
+    except ValueError:
+        return None
+    return ids if list(map(str, ids)) == keys and _in_range(ids, 0, m - 1) else None
+
+
+def _check_lists(raw: dict, m: int, d: int) -> dict[int, list[int]]:
+    ids = _edge_ids(list(raw), m)
+    values = list(raw.values())
+    if ids is not None and _only(values, list):
+        flat = list(chain.from_iterable(values))
+        if (_only(flat, int) and _in_range(flat, 1, d)
+                and values == list(map(sorted, map(set, values)))):
+            return dict(zip(ids, values))
+    parsed = {}
+    for key, colors in raw.items():
+        if not isinstance(key, str) or not key.isdigit():
+            raise _err(f"lists: key {key!r} is not a decimal edge index")
+        if not key.isascii() or len(key) > 1 and key[0] == "0":
+            raise _err(f"lists: key {key!r} is not in canonical form (str of the edge index)")
+        # a key with more digits than m is out of range, and int() of it may refuse
+        if len(key) > len(str(m)) or int(key) >= m:
+            raise _err(f"lists: key '{key}' is not a valid edge index")
+        if (not isinstance(colors, list)
+                or any(not isinstance(c, int) or isinstance(c, bool) for c in colors)):
+            raise _err(f"lists['{key}']: must be an array of integers")
+        if any(not 1 <= c <= d for c in colors):
+            raise _err(f"lists['{key}']: colors must lie in 1..{d}")
+        if colors != sorted(set(colors)):
+            raise _err(f"lists['{key}']: colors must be sorted and unique")
+        parsed[int(key)] = colors
+    return parsed
+
+
+def _check_plan(raw: list, n: int) -> tuple[tuple[int, int, int, int], ...]:
+    if _only(raw, list) and set(map(len, raw)) <= {4}:
+        flat = list(chain.from_iterable(raw))
+        if _only(flat, int) and _in_range(flat, 0, n - 1):
+            return tuple(map(tuple, raw))
+    rows = []
+    for item in raw:
+        if (not isinstance(item, list) or len(item) != 4
+                or any(not isinstance(x, int) or isinstance(x, bool) for x in item)):
+            raise _err("plan: each cycle must be four vertex integers")
+        if any(not 0 <= x < n for x in item):
+            raise _err("plan: cycle vertices must lie in 0..n-1")
+        rows.append(tuple(item))
+    return tuple(rows)
 
 
 def from_json_dict(data) -> Instance:
@@ -88,18 +179,10 @@ def from_json_dict(data) -> Instance:
     raw_edges = data.get("edges")
     if not isinstance(raw_edges, list):
         raise _err("edges: must be an array of [u, v] pairs")
-    edges = []
-    for item in raw_edges:
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
-            raise _err("edges: each entry must be a pair of integers")
-        u, v = item
-        if not 0 <= u < v < n:
-            raise _err("edges: must be canonical (0 <= u < v < n)")
-        edges.append((u, v))
-    if edges != sorted(edges):
-        raise _err("edges: must be sorted lexicographically")
-    if len(set(edges)) != len(edges):
+    edges = _check_edges(raw_edges, n)
+    if not all(map(lt, edges, edges[1:])):
+        if edges != sorted(edges):
+            raise _err("edges: must be sorted lexicographically")
         raise _err("edges: duplicates are not allowed")
     graph = Graph(n, tuple(edges))  # checked above: canonical, sorted, unique
     m = graph.m
@@ -129,37 +212,14 @@ def from_json_dict(data) -> Instance:
         raw = data["lists"]
         if not isinstance(raw, dict):
             raise _err("lists: must map edge indices to color arrays")
-        parsed = {}
-        for key, colors in raw.items():
-            if not isinstance(key, str) or not key.isdigit():
-                raise _err(f"lists: key {key!r} is not a decimal edge index")
-            e = int(key)
-            if not 0 <= e < m:
-                raise _err(f"lists: key '{key}' is not a valid edge index")
-            if (not isinstance(colors, list)
-                    or any(not isinstance(c, int) or isinstance(c, bool) for c in colors)):
-                raise _err(f"lists['{key}']: must be an array of integers")
-            if any(not 1 <= c <= d for c in colors):
-                raise _err(f"lists['{key}']: colors must lie in 1..{d}")
-            if colors != sorted(set(colors)):
-                raise _err(f"lists['{key}']: colors must be sorted and unique")
-            parsed[e] = colors
-        lists = ListAssignment.from_dict(parsed)
+        lists = ListAssignment.from_dict(_check_lists(raw, m, d))
 
     plan = None
     if "plan" in data:
         raw = data["plan"]
         if not isinstance(raw, list):
             raise _err("plan: must be an array of 4-vertex cycles")
-        rows = []
-        for item in raw:
-            if (not isinstance(item, list) or len(item) != 4
-                    or any(not isinstance(x, int) or isinstance(x, bool) for x in item)):
-                raise _err("plan: each cycle must be four vertex integers")
-            if any(not 0 <= x < n for x in item):
-                raise _err("plan: cycle vertices must lie in 0..n-1")
-            rows.append(tuple(item))
-        plan = tuple(rows)
+        plan = _check_plan(raw, n)
 
     report = data.get("report")
     if report is not None and not isinstance(report, dict):

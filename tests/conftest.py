@@ -202,3 +202,114 @@ def edge_oracle(g, d, L, limit):
             lost &= ~p
         planes = counted
     return True, tuple(assignment), nodes
+
+
+def _ref_color_array(values, m, d, name):
+    if not isinstance(values, list) or len(values) != m:
+        raise dg.InvalidInstance(f"{name}: length must equal the number of edges ({m})")
+    for c in values:
+        if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= d:
+            raise dg.InvalidInstance(f"{name}: colors must be integers in 1..{d}")
+    return tuple(values)
+
+
+def ref_from_json_dict(data):
+    """``from_json_dict`` as it stood before its checks ran over whole arrays:
+    one item at a time, raising at the first broken one. List keys follow the
+    canonical rule (only str(e) for an edge e) that both validators share."""
+    err = dg.InvalidInstance
+    if not isinstance(data, dict):
+        raise err("top level: must be a JSON object")
+    if data.get("format") != dg.instance_io.FORMAT_TAG:
+        raise err(f"format: expected '{dg.instance_io.FORMAT_TAG}'")
+    n = data.get("n")
+    d = data.get("d")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise err("n: must be a nonnegative integer")
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+        raise err("d: must be a nonnegative integer")
+    raw_edges = data.get("edges")
+    if not isinstance(raw_edges, list):
+        raise err("edges: must be an array of [u, v] pairs")
+    edges = []
+    for item in raw_edges:
+        if (not isinstance(item, list) or len(item) != 2
+                or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
+            raise err("edges: each entry must be a pair of integers")
+        u, v = item
+        if not 0 <= u < v < n:
+            raise err("edges: must be canonical (0 <= u < v < n)")
+        edges.append((u, v))
+    if edges != sorted(edges):
+        raise err("edges: must be sorted lexicographically")
+    if len(set(edges)) != len(edges):
+        raise err("edges: duplicates are not allowed")
+    graph = dg.Graph(n, tuple(edges))
+    m = graph.m
+
+    coloring = solution = None
+    if "coloring" in data:
+        coloring = dg.EdgeColoring(_ref_color_array(data["coloring"], m, d, "coloring"), d)
+    if "solution" in data:
+        solution = dg.EdgeColoring(_ref_color_array(data["solution"], m, d, "solution"), d)
+
+    s_claimed = s_measured = None
+    if "s" in data:
+        block = data["s"]
+        if not isinstance(block, dict):
+            raise err("s: must be an object with 'claimed' and 'measured'")
+        for key in ("claimed", "measured"):
+            if key in block:
+                value = block[key]
+                if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                    raise err(f"s.{key}: must be a positive integer")
+        s_claimed = block.get("claimed")
+        s_measured = block.get("measured")
+
+    lists = None
+    if "lists" in data:
+        raw = data["lists"]
+        if not isinstance(raw, dict):
+            raise err("lists: must map edge indices to color arrays")
+        parsed = {}
+        for key, colors in raw.items():
+            if not isinstance(key, str) or not key.isdigit():
+                raise err(f"lists: key {key!r} is not a decimal edge index")
+            if not key.isascii() or len(key) > 1 and key[0] == "0":
+                raise err(f"lists: key {key!r} is not in canonical form (str of the edge index)")
+            if len(key) > len(str(m)) or int(key) >= m:
+                raise err(f"lists: key '{key}' is not a valid edge index")
+            if (not isinstance(colors, list)
+                    or any(not isinstance(c, int) or isinstance(c, bool) for c in colors)):
+                raise err(f"lists['{key}']: must be an array of integers")
+            if any(not 1 <= c <= d for c in colors):
+                raise err(f"lists['{key}']: colors must lie in 1..{d}")
+            if colors != sorted(set(colors)):
+                raise err(f"lists['{key}']: colors must be sorted and unique")
+            parsed[int(key)] = colors
+        lists = dg.ListAssignment.from_dict(parsed)
+
+    plan = None
+    if "plan" in data:
+        raw = data["plan"]
+        if not isinstance(raw, list):
+            raise err("plan: must be an array of 4-vertex cycles")
+        rows = []
+        for item in raw:
+            if (not isinstance(item, list) or len(item) != 4
+                    or any(not isinstance(x, int) or isinstance(x, bool) for x in item)):
+                raise err("plan: each cycle must be four vertex integers")
+            if any(not 0 <= x < n for x in item):
+                raise err("plan: cycle vertices must lie in 0..n-1")
+            rows.append(tuple(item))
+        plan = tuple(rows)
+
+    report = data.get("report")
+    if report is not None and not isinstance(report, dict):
+        raise err("report: must be an object")
+    family = data.get("family", {})
+    if not isinstance(family, dict):
+        raise err("family: must be an object")
+    return dg.instance_io.Instance(graph=graph, d=d, coloring=coloring, s_claimed=s_claimed,
+                                   s_measured=s_measured, lists=lists, solution=solution,
+                                   plan=plan, report=report, family=family)

@@ -13,8 +13,8 @@ from dsgraph import graph_core
 from dsgraph.graph_core import Graph
 from tests.conftest import (are_edge_disjoint, are_vertex_disjoint, edge_set,
                             vertex_color_set)
-from tests.test_cycle_census import (LABELS, graph_and_coloring, recolor, ref_color_table,
-                                     ref_compute_s, ref_cycles_through)
+from tests.test_cycle_census import (LABELS, LOOP_GRAPH, graph_and_coloring, recolor,
+                                     ref_color_table, ref_compute_s, ref_cycles_through)
 
 
 def cycle_graph(n):
@@ -146,10 +146,6 @@ def ref_properness_witness(g, f):
             if first != e:
                 return first, e, c, w
     return None
-
-
-# the loop edge of test_checker_rows: (2, 2) writes the slot (2, 1) twice
-LOOP_GRAPH = (Graph(3, ((0, 1), (0, 2), (1, 2), (2, 2))), dg.EdgeColoring((1, 2, 2, 1), 2))
 
 
 @settings(deadline=None, max_examples=150)

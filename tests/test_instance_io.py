@@ -1,14 +1,23 @@
 """dsgraph-v1 files: byte-stable serialization and invariant-naming validation."""
 
 import copy
+import functools
 import json
+import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsgraph as dg
 from dsgraph.instance_io import dumps_instance, from_json_dict, to_json_dict
+from tests.conftest import ref_from_json_dict
+
+ARTIFACT_DIR = Path(__file__).resolve().parent / "artifacts"
+ARTIFACTS = sorted(ARTIFACT_DIR.rglob("*.json"))
 
 
 def full_instance(k44):
@@ -107,6 +116,13 @@ def test_missing_s_block_is_recomputed(q3, monkeypatch):
     (lambda d: d.update(coloring=[1, 2, 2, 5]), "colors must be integers"),
     (lambda d: d.update(lists={"9": [1]}), "not a valid edge index"),
     (lambda d: d.update(lists={"0": [1, 1]}), "sorted and unique"),
+    # str.isdigit() holds for "²" but int() refuses it
+    (lambda d: d.update(lists={"²": [1]}), "'²' is not in canonical form"),
+    (lambda d: d.update(lists={"01": [1]}), "'01' is not in canonical form"),
+    (lambda d: d.update(lists={"٠": [1]}), "'٠' is not in canonical form"),
+    # "00" names edge 0 as well, and would drop one of the two lists
+    (lambda d: d.update(lists={"0": [1], "00": [2]}), "'00' is not in canonical form"),
+    (lambda d: d.update(lists={"1" + "0" * 5000: [1]}), "not a valid edge index"),
     (lambda d: d.update(plan=[[0, 1, 2]]), "four vertex integers"),
     (lambda d: d.update(plan=[[0, 1, 2, 9]]), "0..n-1"),
     (lambda d: d.update(report=3), "object"),
@@ -135,3 +151,135 @@ def test_lists_survive_round_trip_without_s_inflation(q4, tmp_path):
         warnings.simplefilter("error")
         back = dg.load_instance(path)
     assert back.lists == L
+
+
+@pytest.mark.parametrize("path", ARTIFACTS, ids=lambda p: p.name)
+def test_archived_files_resave_byte_identically_and_certify(path, tmp_path):
+    inst = dg.load_instance(path)
+    dg.save_instance(inst, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    assert dg.to_colored_graph(inst).s_measured == inst.s_measured
+
+
+def test_every_archived_file_is_found():
+    assert len(ARTIFACTS) == 13
+
+
+class _Int(int):
+    """An int subclass: the array-level passes leave it to the per-item loop."""
+
+
+class _List(list):
+    """A list subclass, likewise."""
+
+
+@functools.cache
+def _documents():
+    """Parsed JSON of real instances with every block the faults touch."""
+    k44, q3 = dg.complete_bipartite_pow2(2), dg.hypercube(3)
+    sparse = dg.from_colored_graph(k44, lists=dg.generate_sparse(k44, Fraction(1, 2), 7))
+    sparse.solution = k44.coloring
+    sparse.plan = tuple(c.vertices for c in dg.two_colored_cycles_through(
+        k44.graph, k44.coloring, 0))
+    sparse.report = {"phase": "done"}
+    docs = {"K4,4 sparse": to_json_dict(sparse),
+            "Q3 distance-2": to_json_dict(dg.from_colored_graph(
+                q3, lists=dg.generate_distance2(q3, 5, 2))),
+            "archived Q4": json.loads((ARTIFACT_DIR / "distance2_exhaustion"
+                                       / "hypercube4_seed49.json").read_text(encoding="utf-8"))}
+    return {label: json.loads(json.dumps(doc)) for label, doc in docs.items()}
+
+
+def _array(doc, key, default):
+    if not isinstance(doc.get(key), list) or not doc[key]:
+        doc[key] = default
+    return doc[key]
+
+
+def _odd_value(doc, rng):
+    return rng.choice([doc["n"], doc["d"] + 1, 0, -1, True, 1.5, "1", None, _Int(1)])
+
+
+def _fault_edges(doc, rng):
+    edges = _array(doc, "edges", [[0, 1]])
+    i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
+    item = edges[i]  # an earlier fault may have broken it
+    pair = list(item[:2]) if isinstance(item, (list, tuple)) and len(item) > 1 else [0, 1]
+    edges[i] = rng.choice([
+        edges[j], pair[::-1], pair[:1], pair * 2, tuple(pair), "uv", _List(pair),
+        [pair[0], _odd_value(doc, rng)], [_odd_value(doc, rng), pair[1]]])
+    if rng.random() < 0.2:
+        del edges[j]
+
+
+def _fault_colors(key):
+    def fault(doc, rng):
+        colors = _array(doc, key, [1] * len(doc["edges"]))
+        i = rng.randrange(len(colors))
+        kind = rng.randrange(4)
+        if kind == 0:
+            colors[i] = _odd_value(doc, rng)
+        elif kind == 1:
+            del colors[i]
+        elif kind == 2:
+            doc[key] = rng.choice([tuple(colors), "x", None, _List(colors)])
+        else:
+            del doc[key]
+    return fault
+
+
+def _fault_lists(doc, rng):
+    lists = doc.get("lists")
+    if not isinstance(lists, dict):
+        lists = doc["lists"] = {}
+    m, d = len(doc["edges"]), doc["d"]
+    if not lists or rng.random() < 0.25:
+        lists[str(rng.randrange(m + 2))] = sorted(rng.sample(range(1, d + 1), rng.randint(0, d)))
+    key = rng.choice(list(lists))
+    kind = rng.randrange(3)
+    if kind == 0:
+        new = rng.choice(["0" + str(key), "²", "٠", " 1", "+1", "1_0", "-1", str(m), "x", "",
+                          "9" * 5000, 3, "0"])
+        lists[new] = lists.pop(key)
+    elif kind == 1:
+        colors = lists[key] if isinstance(lists[key], list) else [1]
+        lists[key] = rng.choice([colors + colors[:1], colors[::-1] + [1], [0], [d + 1], [True],
+                                 [1.0], ["1"], tuple(colors), None, [], _List(colors),
+                                 [_Int(1)]])
+    else:
+        doc["lists"] = rng.choice([[], "x", None])
+
+
+def _fault_plan(doc, rng):
+    plan = _array(doc, "plan", [[0, 1, 3, 2]])
+    i = rng.randrange(len(plan))
+    row = list(plan[i])
+    if rng.random() < 0.5:
+        row[rng.randrange(len(row))] = _odd_value(doc, rng)
+        plan[i] = row
+    else:
+        plan[i] = rng.choice([row[:3], row + row[:1], tuple(row), _List(row), [_Int(0), *row[1:]]])
+    if rng.random() < 0.1:
+        doc["plan"] = rng.choice([{}, "x", None])
+
+
+FAULTS = {"edges": _fault_edges, "coloring": _fault_colors("coloring"),
+          "solution": _fault_colors("solution"), "lists": _fault_lists, "plan": _fault_plan}
+
+
+def _outcome(validate, doc):
+    try:
+        return "ok", validate(copy.deepcopy(doc))
+    except dg.InvalidInstance as exc:
+        return "invalid", str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(["K4,4 sparse", "Q3 distance-2", "archived Q4"]),
+       st.lists(st.tuples(st.sampled_from(sorted(FAULTS)), st.integers(0, 2 ** 32)),
+                min_size=1, max_size=2))
+def test_array_checks_agree_with_the_per_item_validator(label, faults):
+    doc = copy.deepcopy(_documents()[label])
+    for name, seed in faults:
+        FAULTS[name](doc, random.Random(seed))
+    assert _outcome(from_json_dict, doc) == _outcome(ref_from_json_dict, doc)

@@ -1,11 +1,16 @@
 """Graph families that arrive with a certified standard coloring.
 
-Every constructor returns a ColoredGraph whose measured s comes from a fresh
-cycle census (compute_s); the claimed s of the underlying construction is
-stored alongside. All constructors except cayley_abelian treat a measured
-value below the claim as a bug and raise; cayley_abelian records the shortfall
-and warns instead, because its claim is known not to hold on every admissible
-input (see the Z_6 regression in the test suite).
+Every constructor lists its colored edges as ((u, v), color) items and ends
+in one call to ``_build``, which sorts them into a Graph and its coloring
+and hands both to ``_certify``. ``_certify`` is the one path to a certified
+ColoredGraph, also for a loaded file (``instance_io.to_colored_graph``): it
+checks properness, naming the two edges that share a color when that fails,
+and takes the measured s from a fresh cycle census (compute_s); the claimed
+s of the underlying construction is stored alongside. All constructors except
+cayley_abelian treat a measured value below the claim as a bug and raise;
+cayley_abelian records the shortfall and warns instead, because its claim is
+known not to hold on every admissible input (see the Z_6 regression in the
+test suite).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 from .errors import (CertificationFailed, ClaimDiscrepancyWarning, InvalidCayleySpec,
                      InvalidK, ResourceLimit)
 from .graph_core import (EdgeColoring, Graph, _cycle_tuples, color_table, compute_s, is_proper,
-                         standard_matchings)
+                         properness_witness, standard_matchings)
 
 HYPERCUBE_DIM_CAP = 16
 BIPARTITE_T_CAP = 7
@@ -81,35 +86,40 @@ class ColoredGraph:
         return self.s_measured >= self.s_claimed
 
 
-def _certify(graph: Graph, colors: tuple[int, ...], d: int, s_claimed: int | None,
-             family: dict, strict: bool = True) -> ColoredGraph:
-    """Check properness and measure s; a claim of None claims the measured value."""
-    coloring = EdgeColoring(colors, d)
+def _certify(graph: Graph, coloring: EdgeColoring, s_claimed: int | None,
+             family: dict, strict: bool = True, stacklevel: int = 3) -> ColoredGraph:
+    """Check properness and measure s; a claim of None claims the measured value.
+
+    A tolerated shortfall warns ``stacklevel`` frames up, at the caller of
+    the public function.
+    """
+    name = family.get("name")
     if not is_proper(graph, coloring):
-        raise CertificationFailed(f"{family.get('name')}: constructed coloring is not proper")
+        first, e, c, w = properness_witness(graph, coloring)
+        raise CertificationFailed(f"{name}: coloring is not proper: "
+                                  f"edges {first} and {e} share color {c} at vertex {w}")
     s_measured = compute_s(graph, coloring)
     if s_claimed is None:
         s_claimed = s_measured
     if s_measured < s_claimed:
+        message = f"{name}: measured s={s_measured} below claimed s={s_claimed}"
         if strict:
-            raise CertificationFailed(
-                f"{family.get('name')}: measured s={s_measured} below claimed s={s_claimed}")
-        warnings.warn(
-            f"{family.get('name')}: measured s={s_measured} below claimed s={s_claimed}",
-            ClaimDiscrepancyWarning, stacklevel=3)
+            raise CertificationFailed(message)
+        warnings.warn(message, ClaimDiscrepancyWarning, stacklevel=stacklevel)
     family = dict(family)
     family["s_claimed"] = s_claimed
     family["s_measured"] = s_measured
     family["claim_verified"] = s_measured >= s_claimed
-    return ColoredGraph(graph, coloring, d, s_claimed, s_measured, family)
+    return ColoredGraph(graph, coloring, coloring.d, s_claimed, s_measured, family)
 
 
-def _sorted_colored_edges(items) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Canonicalize a list of ((u, v), color) into sorted edges + aligned colors."""
+def _build(n: int, items, d: int, s_claimed: int, family: dict,
+           strict: bool = True) -> ColoredGraph:
+    """Sort ((u, v), color) items into a Graph and its d-coloring, and certify."""
     items = sorted(items)
-    edges = tuple(uv for uv, _ in items)
-    colors = tuple(c for _, c in items)
-    return edges, colors
+    graph = Graph(n, tuple(uv for uv, _ in items))
+    coloring = EdgeColoring(tuple(c for _, c in items), d)
+    return _certify(graph, coloring, s_claimed, family, strict, stacklevel=4)
 
 
 def hypercube(d: int) -> ColoredGraph:
@@ -128,9 +138,7 @@ def hypercube(d: int) -> ColoredGraph:
         for i in range(d):
             if not x & (1 << i):
                 items.append(((x, x | (1 << i)), i + 1))
-    edges, colors = _sorted_colored_edges(items)
-    graph = Graph(n, edges)
-    return _certify(graph, colors, d, d, {"name": "hypercube", "params": {"d": d}})
+    return _build(n, items, d, d, {"name": "hypercube", "params": {"d": d}})
 
 
 def complete_bipartite_pow2(t: int) -> ColoredGraph:
@@ -144,10 +152,7 @@ def complete_bipartite_pow2(t: int) -> ColoredGraph:
     for i in range(d):
         for j in range(d):
             items.append(((i, d + j), (i ^ j) + 1))
-    edges, colors = _sorted_colored_edges(items)
-    graph = Graph(2 * d, edges)
-    return _certify(graph, colors, d, d,
-                    {"name": "complete_bipartite_pow2", "params": {"t": t}})
+    return _build(2 * d, items, d, d, {"name": "complete_bipartite_pow2", "params": {"t": t}})
 
 
 def remove_standard_matchings(cg: ColoredGraph, k: int,
@@ -182,12 +187,10 @@ def remove_standard_matchings(cg: ColoredGraph, k: int,
         c = cg.coloring[e]
         if c not in removed:
             items.append(((u, v), relabel[c]))
-    edges, cols = _sorted_colored_edges(items)
-    graph = Graph(cg.graph.n, edges)
     family = {"name": "remove_standard_matchings",
               "params": {"k": k, "removed_colors": sorted(removed)},
               "base": {k2: v for k2, v in cg.family.items() if k2 in ("name", "params")}}
-    return _certify(graph, cols, d - k, d - k, family)
+    return _build(cg.graph.n, items, d - k, d - k, family)
 
 
 def cartesian_product(cg1: ColoredGraph, cg2: ColoredGraph) -> ColoredGraph:
@@ -207,14 +210,11 @@ def cartesian_product(cg1: ColoredGraph, cg2: ColoredGraph) -> ColoredGraph:
         c = cg1.d + cg2.coloring[e]
         for a in range(g1.n):
             items.append(((a * n2 + b1, a * n2 + b2), c))
-    edges, colors = _sorted_colored_edges(items)
-    graph = Graph(g1.n * n2, edges)
-    d = cg1.d + cg2.d
     s_claim = min(cg1.d + cg2.s_measured, cg2.d + cg1.s_measured)
     family = {"name": "cartesian_product", "params": {},
               "left": {k: v for k, v in cg1.family.items() if k in ("name", "params")},
               "right": {k: v for k, v in cg2.family.items() if k in ("name", "params")}}
-    return _certify(graph, colors, d, s_claim, family)
+    return _build(g1.n * n2, items, cg1.d + cg2.d, s_claim, family)
 
 
 # --- finite groups -----------------------------------------------------------
@@ -321,9 +321,34 @@ class CayleySpec:
     half_set: tuple = ()
 
 
-def _check_group_size(group):
+def _check_connection_set(group, S: tuple, set_name: str, member: str) -> None:
+    """The checks both Cayley forms share: group size, then S nonempty,
+    without repeats and without the identity."""
     if len(group) > CAYLEY_ORDER_CAP:
         raise ResourceLimit(f"group order {len(group)} above cap {CAYLEY_ORDER_CAP}")
+    if not S:
+        raise InvalidCayleySpec(f"empty {set_name}")
+    if len(set(S)) != len(S):
+        raise InvalidCayleySpec(f"duplicate {member}")
+    if group.identity in S:
+        raise InvalidCayleySpec(f"identity in {set_name}")
+
+
+def _cayley_items(group, steps: tuple, color, clash: str) -> list:
+    """The ((u, v), color) item of each edge {g, g*a}, for every element g
+    and step a; ``color(g, i)`` colors the edge of steps[i] at g, and an edge
+    given two different colors raises InvalidCayleySpec(clash)."""
+    elt_index = {g: i for i, g in enumerate(group.elements)}
+    assignment: dict[tuple[int, int], int] = {}
+    for g in group.elements:
+        gi = elt_index[g]
+        for i, a in enumerate(steps):
+            hi = elt_index[group.mul(g, a)]
+            key = (gi, hi) if gi < hi else (hi, gi)
+            c = color(g, i)
+            if assignment.setdefault(key, c) != c:
+                raise InvalidCayleySpec(clash)
+    return list(assignment.items())
 
 
 def cayley_involutions(spec: CayleySpec) -> ColoredGraph:
@@ -334,16 +359,10 @@ def cayley_involutions(spec: CayleySpec) -> ColoredGraph:
     claim is s = max(1, |commuting subset|).
     """
     group = spec.group
-    _check_group_size(group)
     S = tuple(spec.generators)
     Sc = tuple(spec.commuting)
-    if not S:
-        raise InvalidCayleySpec("empty generating set")
-    if len(set(S)) != len(S):
-        raise InvalidCayleySpec("duplicate generator")
+    _check_connection_set(group, S, "generating set", "generator")
     e = group.identity
-    if e in S:
-        raise InvalidCayleySpec("identity in generating set")
     for a in S:
         if group.mul(a, a) != e:
             raise InvalidCayleySpec(f"generator {a!r} is not an involution")
@@ -353,26 +372,12 @@ def cayley_involutions(spec: CayleySpec) -> ColoredGraph:
         for a in S:
             if group.mul(c, a) != group.mul(a, c):
                 raise InvalidCayleySpec(f"{c!r} does not commute with {a!r}")
-    elt_index = {g: i for i, g in enumerate(group.elements)}
-    color_of = {a: i + 1 for i, a in enumerate(S)}
-    assignment: dict[tuple[int, int], int] = {}
-    for g in group.elements:
-        gi = elt_index[g]
-        for a in S:
-            hi = elt_index[group.mul(g, a)]
-            key = (gi, hi) if gi < hi else (hi, gi)
-            prev = assignment.get(key)
-            if prev is None:
-                assignment[key] = color_of[a]
-            elif prev != color_of[a]:
-                raise InvalidCayleySpec("inconsistent edge color (generators not involutive?)")
-    items = [(uv, c) for uv, c in assignment.items()]
-    edges, colors = _sorted_colored_edges(items)
-    graph = Graph(len(group), edges)
+    items = _cayley_items(group, S, lambda g, i: i + 1,
+                          "inconsistent edge color (generators not involutive?)")
     family = {"name": "cayley_involutions",
               "params": {"generators": [list(a) if isinstance(a, tuple) else a for a in S],
                          "commuting": [list(a) if isinstance(a, tuple) else a for a in Sc]}}
-    return _certify(graph, colors, len(S), max(1, len(Sc)), family)
+    return _build(len(group), items, len(S), max(1, len(Sc)), family)
 
 
 def cayley_abelian(spec: CayleySpec) -> ColoredGraph:
@@ -389,15 +394,9 @@ def cayley_abelian(spec: CayleySpec) -> ColoredGraph:
     an error.
     """
     group = spec.group
-    _check_group_size(group)
     Sk = tuple(spec.half_set)
-    if not Sk:
-        raise InvalidCayleySpec("empty half set")
-    if len(set(Sk)) != len(Sk):
-        raise InvalidCayleySpec("duplicate half-set generator")
+    _check_connection_set(group, Sk, "half set", "half-set generator")
     e = group.identity
-    if e in Sk:
-        raise InvalidCayleySpec("identity in half set")
     for a in group.elements:
         for b in group.elements:
             if group.mul(a, b) != group.mul(b, a):
@@ -437,24 +436,11 @@ def cayley_abelian(spec: CayleySpec) -> ColoredGraph:
         if si != s:
             tokens.append(si)
     color_of = {tok: i + 1 for i, tok in enumerate(tokens)}
+    # per half-set member, its color at an even and at an odd exponent
+    parity_colors = [(color_of[s], color_of[group.inv(s)]) for s in Sk]
+    items = _cayley_items(group, Sk, lambda g, i: parity_colors[i][factor_of[g][i] % 2],
+                          "edge received two different colors")
     d = len(tokens)
-    elt_index = {g: i for i, g in enumerate(group.elements)}
-    assignment: dict[tuple[int, int], int] = {}
-    for g in group.elements:
-        gi = elt_index[g]
-        xs = factor_of[g]
-        for i, s in enumerate(Sk):
-            hi = elt_index[group.mul(g, s)]
-            key = (gi, hi) if gi < hi else (hi, gi)
-            tok = s if xs[i] % 2 == 0 else group.inv(s)
-            prev = assignment.get(key)
-            if prev is None:
-                assignment[key] = color_of[tok]
-            elif prev != color_of[tok]:
-                raise InvalidCayleySpec("edge received two different colors")
-    items = [(uv, c) for uv, c in assignment.items()]
-    edges, colors = _sorted_colored_edges(items)
-    graph = Graph(len(group), edges)
     family = {"name": "cayley_abelian",
               "params": {"half_set": [list(a) if isinstance(a, tuple) else a for a in Sk]}}
-    return _certify(graph, colors, d, d, family, strict=False)
+    return _build(len(group), items, d, d, family, strict=False)

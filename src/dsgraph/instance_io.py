@@ -49,17 +49,19 @@ def from_colored_graph(cg: ColoredGraph, lists: ListAssignment | None = None) ->
 
 
 def to_colored_graph(inst: Instance) -> ColoredGraph:
-    """Rebuild a certified colored graph; measured s is recomputed, not trusted.
+    """Certify the instance's own coloring; measured s is recomputed, not trusted.
 
     A stored claim above the recomputed value triggers a warning rather than
     an error, since files may describe graphs whose claims were already
     flagged when they were built. A file without a claim claims the measured
     value, so the census runs once.
     """
-    if inst.coloring is None:
+    coloring = inst.coloring
+    if coloring is None:
         raise InvalidInstance("coloring: required to rebuild a colored graph")
-    return _certify(inst.graph, inst.coloring.colors, inst.d, inst.s_claimed,
-                    dict(inst.family), strict=False)
+    if coloring.d != inst.d:  # a hand-built Instance; a loaded one always agrees
+        coloring = EdgeColoring(coloring.colors, inst.d)
+    return _certify(inst.graph, coloring, inst.s_claimed, inst.family, strict=False)
 
 
 def _err(invariant: str) -> InvalidInstance:

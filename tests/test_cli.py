@@ -147,6 +147,21 @@ def test_verify_names_the_improper_vertex(tmp_path, capsys):
     assert out == f"improper: edges {e01} and {e02} share color {h[e01]} at vertex 0\n"
 
 
+def test_analyze_names_the_repeated_color_of_an_improper_coloring(tmp_path, capsys):
+    f = str(tmp_path / "q3.json")
+    run(capsys, "construct", "--family", "hypercube", "--d", "3", "--out", f)
+    data = json.loads(open(f).read())
+    g = dg.hypercube(3).graph
+    # edges (0,1) and (0,2) meet at vertex 0; give the second the first's color
+    e01, e02 = g.edges.index((0, 1)), g.edges.index((0, 2))
+    data["coloring"][e02] = data["coloring"][e01]
+    open(f, "w").write(json.dumps(data))
+    code, _, err = run(capsys, "analyze", f)
+    assert code == 2
+    assert err == (f"error: hypercube: coloring is not proper: edges {e01} and {e02} "
+                   f"share color {data['coloring'][e01]} at vertex 0\n")
+
+
 def test_verify_requires_solution(tmp_path, capsys):
     # a file without a solution block is a usage error, not a failed check
     f = str(tmp_path / "q3.json")

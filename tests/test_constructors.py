@@ -133,6 +133,31 @@ def test_cayley_involutions_rejects_bad_specs():
         dg.cayley_involutions(dg.CayleySpec(group, generators=ok, commuting=((1, 1),)))
 
 
+@pytest.mark.parametrize("build,field,value,message", [
+    (dg.cayley_involutions, "generators", (), "empty generating set"),
+    (dg.cayley_involutions, "generators", ((1, 0), (1, 0)), "duplicate generator"),
+    (dg.cayley_involutions, "generators", ((0, 0),), "identity in generating set"),
+    (dg.cayley_abelian, "half_set", (), "empty half set"),
+    (dg.cayley_abelian, "half_set", ((1, 0), (1, 0)), "duplicate half-set generator"),
+    (dg.cayley_abelian, "half_set", ((0, 0),), "identity in half set"),
+])
+def test_connection_set_checks_keep_their_wording(build, field, value, message):
+    spec = dg.CayleySpec(dg.CyclicProduct((2, 2)), **{field: value})
+    with pytest.raises(dg.InvalidCayleySpec) as info:
+        build(spec)
+    assert str(info.value) == message
+
+
+def test_non_associative_table_gives_an_edge_two_colors():
+    # a Latin square with identity 0 in which every element squares to 0,
+    # but (1*1)*2 = 2 != 4 = 1*(1*2)
+    table = dg.MulTable([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+    with pytest.raises(dg.InvalidCayleySpec) as info:
+        dg.cayley_involutions(dg.CayleySpec(table, generators=(1, 2, 3, 4)))
+    assert str(info.value) == "inconsistent edge color (generators not involutive?)"
+
+
 def test_cayley_abelian_small_groups():
     c4 = dg.cayley_abelian(dg.CayleySpec(dg.CyclicProduct((4,)), half_set=((1,),)))
     assert c4.graph.n == 4 and c4.d == 2 and c4.s_measured == 2
@@ -145,8 +170,10 @@ def test_cayley_abelian_small_groups():
 
 def test_cayley_abelian_z6_claim_shortfall_is_flagged():
     spec = dg.CayleySpec(dg.CyclicProduct((6,)), half_set=((1,),))
-    with pytest.warns(dg.ClaimDiscrepancyWarning):
+    with pytest.warns(dg.ClaimDiscrepancyWarning) as record:
         cg = dg.cayley_abelian(spec)
+    # the warning points at the caller, not into the library
+    assert [w.filename for w in record] == [__file__]
     assert cg.s_claimed == 2
     assert cg.s_measured == 1
     assert not cg.claim_verified
@@ -176,7 +203,7 @@ def test_mul_table_wraps_explicit_group():
 
 def test_certification_failure_on_false_claim(q3):
     with pytest.raises(dg.CertificationFailed):
-        dg.constructors._certify(q3.graph, q3.coloring.colors, 3, 99, {}, strict=True)
+        dg.constructors._certify(q3.graph, q3.coloring, 99, {}, strict=True)
 
 
 def test_family_metadata_records_provenance(k44):

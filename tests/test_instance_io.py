@@ -73,10 +73,41 @@ def test_to_colored_graph_recomputes_s(q3):
 def test_to_colored_graph_warns_on_inflated_claim(q3):
     inst = dg.from_colored_graph(q3)
     inst.s_claimed = 99
-    with pytest.warns(dg.ClaimDiscrepancyWarning):
+    with pytest.warns(dg.ClaimDiscrepancyWarning) as record:
         cg = dg.to_colored_graph(inst)
+    # the warning points at the caller, not into the library
+    assert [w.filename for w in record] == [__file__]
     assert cg.s_measured == 3
     assert not cg.claim_verified
+
+
+def test_to_colored_graph_names_the_repeated_color(q3):
+    inst = dg.from_colored_graph(q3)
+    colors = list(q3.coloring.colors)
+    colors[1] = colors[0]  # edges 0 and 1 of Q3 are (0,1) and (0,2)
+    inst.coloring = dg.EdgeColoring(tuple(colors), 3)
+    with pytest.raises(dg.CertificationFailed) as info:
+        dg.to_colored_graph(inst)
+    assert str(info.value) == ("hypercube: coloring is not proper: "
+                               f"edges 0 and 1 share color {colors[0]} at vertex 0")
+
+
+def test_a_loaded_coloring_is_certified_as_loaded(q3, tmp_path):
+    path = tmp_path / "q3.json"
+    dg.save_instance(dg.from_colored_graph(q3), path)
+    inst = dg.load_instance(path)
+    cg = dg.to_colored_graph(inst)
+    assert cg.coloring is inst.coloring
+    assert cg.d == inst.d == 3
+
+
+def test_to_colored_graph_takes_the_instance_d(q3):
+    # a hand-built Instance whose coloring carries another d is re-wrapped
+    inst = dg.from_colored_graph(q3)
+    inst.coloring = dg.EdgeColoring(q3.coloring.colors, 5)
+    cg = dg.to_colored_graph(inst)
+    assert cg.d == cg.coloring.d == 3
+    assert cg.coloring.colors == q3.coloring.colors
 
 
 def test_to_colored_graph_requires_coloring(q3):

@@ -93,7 +93,7 @@ def _certify(graph: Graph, coloring: EdgeColoring, s_claimed: int | None,
     A tolerated shortfall warns ``stacklevel`` frames up, at the caller of
     the public function.
     """
-    name = family.get("name")
+    name = family.get("name") or "instance"  # a loaded file may carry no family
     if not is_proper(graph, coloring):
         first, e, c, w = properness_witness(graph, coloring)
         raise CertificationFailed(f"{name}: coloring is not proper: "

@@ -235,37 +235,70 @@ def from_json_dict(data) -> Instance:
                     plan=plan, report=report, family=family)
 
 
-def to_json_dict(inst: Instance) -> dict:
-    data: dict = {
-        "format": FORMAT_TAG,
-        "n": inst.graph.n,
-        "d": inst.d,
-        "edges": [list(e) for e in inst.graph.edges],
-    }
-    if inst.coloring is not None:
-        data["coloring"] = list(inst.coloring.colors)
-    if inst.solution is not None:
-        data["solution"] = list(inst.solution.colors)
-    if inst.s_claimed is not None or inst.s_measured is not None:
-        block = {}
-        if inst.s_claimed is not None:
-            block["claimed"] = inst.s_claimed
-        if inst.s_measured is not None:
-            block["measured"] = inst.s_measured
-        data["s"] = block
-    if inst.lists is not None:
-        data["lists"] = {str(e): sorted(cs) for e, cs in inst.lists.items()}
-    if inst.plan is not None:
-        data["plan"] = [list(c) for c in inst.plan]
-    if inst.report is not None:
-        data["report"] = inst.report
-    if inst.family:
-        data["family"] = inst.family
-    return data
+# The writer formats by hand the text json.dumps(document, sort_keys=True,
+# indent=2) would give: with indent set, json.dumps runs its pure-Python
+# encoder. Each integer array is instead one % format, its template joined at
+# C level from one "%d" per value.
+
+def _array(items: list[str], pad: str) -> str:
+    """A JSON array of the given item texts, the items at indent pad."""
+    if not items:
+        return "[]"
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[:-2] + "]"
+
+
+def _ints(values, pad: str) -> str:
+    return _array(["%d"] * len(values), pad) % tuple(values)
+
+
+def _rows(rows, width: int) -> str:
+    """An array at indent 2 of int arrays of the given width (edges, plan)."""
+    row = _array(["%d"] * width, "      ")
+    return _array([row] * len(rows), "    ") % tuple(chain.from_iterable(rows))
+
+
+def _lists(lists) -> str:
+    """The lists object at indent 2; keys sort as strings, so "10" precedes "9"."""
+    by_key = {str(e): cs for e, cs in lists.items()}
+    if not by_key:
+        return "{}"
+    keys = sorted(by_key)
+    values = list(map(sorted, map(by_key.__getitem__, keys)))
+    sizes = list(map(len, values))
+    entry = {k: '    "%s": ' + _array(["%d"] * k, "      ") for k in set(sizes)}
+    body = ",\n".join(map(entry.__getitem__, sizes))
+    return ("{\n" + body + "\n  }") % tuple(chain.from_iterable(map(chain, zip(keys), values)))
+
+
+def _block(value) -> str:
+    """A free-form value at indent 2, as the whole-document encoder writes it."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
 def dumps_instance(inst: Instance) -> str:
-    return json.dumps(to_json_dict(inst), sort_keys=True, indent=2) + "\n"
+    """The dsgraph-v1 text: sorted keys, two-space indent, one trailing newline."""
+    blocks = {
+        "format": _block(FORMAT_TAG),
+        "n": _block(inst.graph.n),
+        "d": _block(inst.d),
+        "edges": _rows(inst.graph.edges, 2),
+    }
+    if inst.coloring is not None:
+        blocks["coloring"] = _ints(inst.coloring.colors, "    ")
+    if inst.solution is not None:
+        blocks["solution"] = _ints(inst.solution.colors, "    ")
+    if inst.s_claimed is not None or inst.s_measured is not None:
+        s = {"claimed": inst.s_claimed, "measured": inst.s_measured}
+        blocks["s"] = _block({k: v for k, v in s.items() if v is not None})
+    if inst.lists is not None:
+        blocks["lists"] = _lists(inst.lists)
+    if inst.plan is not None:
+        blocks["plan"] = _rows(inst.plan, 4)
+    if inst.report is not None:
+        blocks["report"] = _block(inst.report)
+    if inst.family:
+        blocks["family"] = _block(inst.family)
+    return "{\n" + ",\n".join('  "%s": %s' % (key, blocks[key]) for key in sorted(blocks)) + "\n}\n"
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -1,5 +1,6 @@
 """Shared builders and cycle/coloring helpers for the test suite."""
 
+import json
 import math
 import random
 from collections import Counter
@@ -313,3 +314,40 @@ def ref_from_json_dict(data):
     return dg.instance_io.Instance(graph=graph, d=d, coloring=coloring, s_claimed=s_claimed,
                                    s_measured=s_measured, lists=lists, solution=solution,
                                    plan=plan, report=report, family=family)
+
+
+def to_json_dict(inst):
+    """The dsgraph-v1 document of an instance as JSON values: the object
+    ``load_instance`` parses and ``dumps_instance`` writes."""
+    data = {
+        "format": dg.instance_io.FORMAT_TAG,
+        "n": inst.graph.n,
+        "d": inst.d,
+        "edges": [list(e) for e in inst.graph.edges],
+    }
+    if inst.coloring is not None:
+        data["coloring"] = list(inst.coloring.colors)
+    if inst.solution is not None:
+        data["solution"] = list(inst.solution.colors)
+    if inst.s_claimed is not None or inst.s_measured is not None:
+        block = {}
+        if inst.s_claimed is not None:
+            block["claimed"] = inst.s_claimed
+        if inst.s_measured is not None:
+            block["measured"] = inst.s_measured
+        data["s"] = block
+    if inst.lists is not None:
+        data["lists"] = {str(e): sorted(cs) for e, cs in inst.lists.items()}
+    if inst.plan is not None:
+        data["plan"] = [list(c) for c in inst.plan]
+    if inst.report is not None:
+        data["report"] = inst.report
+    if inst.family:
+        data["family"] = inst.family
+    return data
+
+
+def ref_dumps_instance(inst):
+    """The reference writer for ``dumps_instance``: the whole document
+    through the standard library's indenting encoder."""
+    return json.dumps(to_json_dict(inst), sort_keys=True, indent=2) + "\n"

@@ -6,6 +6,7 @@ import pytest
 
 import dsgraph as dg
 from dsgraph.cli import main
+from tests.test_neighborhood_kernel import BUILDERS
 
 
 def run(capsys, *argv):
@@ -160,6 +161,70 @@ def test_analyze_names_the_repeated_color_of_an_improper_coloring(tmp_path, caps
     assert code == 2
     assert err == (f"error: hypercube: coloring is not proper: edges {e01} and {e02} "
                    f"share color {data['coloring'][e01]} at vertex 0\n")
+
+
+def _cycles_line(census) -> str:
+    counts = census.values()
+    return f"cycles per edge: min={min(counts, default=0)} max={max(counts, default=0)}\n"
+
+
+@pytest.mark.parametrize("label", sorted(BUILDERS))
+def test_analyze_counts_agree_with_the_quadruple_scan(label, tmp_path, capsys):
+    cg = BUILDERS[label]()
+    f = str(tmp_path / "g.json")
+    dg.save_instance(dg.from_colored_graph(cg), f)
+    census = dg.oracle_cycle_census(cg.graph, cg.coloring)
+    code, out, _ = run(capsys, "analyze", f)
+    assert code == 0 and out.endswith(_cycles_line(census))
+    code, out, _ = run(capsys, "analyze", f, "--json")
+    assert json.loads(out)["cycles_per_edge"] == {"min": min(census.values()),
+                                                  "max": max(census.values())}
+
+
+@pytest.mark.parametrize("drop,line", [
+    ((), "min=2 max=2"),
+    (((0, 1),), "min=1 max=2"),  # the six edges of its two lost cycles keep one each
+    (tuple(dg.hypercube(3).graph.edges), "min=0 max=0"),
+], ids=["Q3", "Q3 minus an edge", "no edges"])
+def test_analyze_counts_uneven_and_empty_graphs(drop, line, tmp_path, capsys):
+    q3 = dg.hypercube(3)
+    kept = [(uv, c) for uv, c in zip(q3.graph.edges, q3.coloring.colors) if uv not in drop]
+    g = dg.Graph(8, tuple(uv for uv, _ in kept))
+    h = dg.EdgeColoring(tuple(c for _, c in kept), 3)
+    f = str(tmp_path / "g.json")
+    dg.save_instance(dg.instance_io.Instance(graph=g, d=3, coloring=h), f)
+    code, out, _ = run(capsys, "analyze", f)
+    assert code == 0
+    assert out.endswith(_cycles_line(dg.oracle_cycle_census(g, h))) and line in out
+
+
+def _without_family(tmp_path, capsys, edit):
+    f = str(tmp_path / "q4.json")
+    run(capsys, "construct", "--family", "hypercube", "--d", "4", "--out", f)
+    data = json.loads(open(f).read())
+    del data["family"]
+    edit(data)
+    open(f, "w").write(json.dumps(data))
+    return f
+
+
+def test_claim_warning_of_a_file_without_family_names_the_instance(tmp_path, capsys):
+    f = _without_family(tmp_path, capsys, lambda data: data["s"].update(claimed=9))
+    with pytest.warns(dg.ClaimDiscrepancyWarning) as record:
+        code, out, _ = run(capsys, "analyze", f)
+    assert code == 0 and "claim verified: NO" in out
+    assert [str(w.message) for w in record] == ["instance: measured s=4 below claimed s=9"]
+
+
+def test_improper_file_without_family_names_the_instance(tmp_path, capsys):
+    def clash(data):  # edges 0 and 1 of Q4 are (0,1) and (0,2)
+        data["coloring"][1] = data["coloring"][0]
+
+    f = _without_family(tmp_path, capsys, clash)
+    code, _, err = run(capsys, "analyze", f)
+    assert code == 2
+    assert err == ("error: instance: coloring is not proper: "
+                   "edges 0 and 1 share color 1 at vertex 0\n")
 
 
 def test_verify_requires_solution(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """dsgraph-v1 files: byte-stable serialization and invariant-naming validation."""
 
 import copy
+import dataclasses
 import functools
 import json
 import random
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsgraph as dg
-from dsgraph.instance_io import dumps_instance, from_json_dict, to_json_dict
-from tests.conftest import ref_from_json_dict
+from dsgraph.instance_io import dumps_instance, from_json_dict
+from tests.conftest import ref_dumps_instance, ref_from_json_dict, to_json_dict
 
 ARTIFACT_DIR = Path(__file__).resolve().parent / "artifacts"
 ARTIFACTS = sorted(ARTIFACT_DIR.rglob("*.json"))
@@ -314,3 +315,76 @@ def test_array_checks_agree_with_the_per_item_validator(label, faults):
     for name, seed in faults:
         FAULTS[name](doc, random.Random(seed))
     assert _outcome(from_json_dict, doc) == _outcome(ref_from_json_dict, doc)
+
+
+# -- the writer against the whole-document encoder ---------------------------
+
+# strings with quotes, backslashes, newlines, tabs and non-ASCII characters
+_texts = st.text(alphabet=st.sampled_from('ab"\\\n\t/é€😀\x00 '), max_size=6)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
+    max_leaves=12)
+_counts = st.integers(min_value=0, max_value=50)
+
+
+def _solved_report(draw):
+    """The report ``dsgraph solve`` writes for a solved input."""
+    records = draw(st.lists(st.builds(dg.SelectionRecord, _counts, _counts, _counts, _counts,
+                                      _counts, _counts), max_size=3))
+    report = {"mode": "theorem1", "trials": draw(_counts), "phase": "done",
+              "cycles_swapped": len(records)}
+    if records:
+        report["selection"] = [dataclasses.asdict(r) for r in records]
+    return report
+
+
+def _failed_report(draw):
+    """The report ``dsgraph solve`` writes when a phase gives up."""
+    eliminated = draw(st.none() | st.fixed_dictionaries(
+        {k: _counts for k in ("total", "allowed", "not_allowed", "overloaded",
+                              "conflict_or_used")}))
+    fail = dg.FailureReport(draw(st.sampled_from(["permutation", "swap", "swap-search"])),
+                            draw(_texts), draw(st.none() | _counts), eliminated,
+                            draw(st.none() | _counts))
+    report = {"mode": draw(st.sampled_from(["theorem1", "theorem2"]))}
+    report.update((k, v) for k, v in dataclasses.asdict(fail).items() if v is not None)
+    return report
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # a sparse subset leaves isolated vertices; none at all gives m = 0
+    edges = tuple(sorted(draw(st.sets(st.sampled_from(pairs), max_size=20)))) if pairs else ()
+    m, d = len(edges), draw(st.integers(min_value=0, max_value=12))
+    colorings = st.lists(st.integers(min_value=0, max_value=d), min_size=m, max_size=m).map(
+        lambda cs: dg.EdgeColoring(tuple(cs), d))
+    inst = dg.instance_io.Instance(graph=dg.Graph(n, edges), d=d)
+    inst.coloring = draw(st.none() | colorings)
+    inst.solution = draw(st.none() | colorings)
+    inst.s_claimed = draw(st.none() | st.integers(min_value=1, max_value=12))
+    inst.s_measured = draw(st.none() | st.integers(min_value=1, max_value=12))
+    # keys up to 120 sort differently as strings ("10" < "9"); empty lists included
+    inst.lists = draw(st.none() | st.dictionaries(
+        st.integers(min_value=0, max_value=120),
+        st.frozensets(st.integers(min_value=1, max_value=12), max_size=4),
+        max_size=15).map(dg.ListAssignment))
+    vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
+    inst.plan = draw(st.none() | st.lists(st.tuples(vertex, vertex, vertex, vertex),
+                                          max_size=4).map(tuple))
+    kind = draw(st.sampled_from(["none", "free", "solved", "failed"]))
+    inst.report = {"none": lambda: None,
+                   "free": lambda: draw(st.dictionaries(_texts, _json_values, max_size=4)),
+                   "solved": lambda: _solved_report(draw),
+                   "failed": lambda: _failed_report(draw)}[kind]()
+    inst.family = draw(st.dictionaries(_texts, _json_values, max_size=4))
+    return inst
+
+
+@settings(deadline=None, max_examples=400)
+@given(instances())
+def test_writer_matches_the_whole_document_encoder(inst):
+    assert dumps_instance(inst) == ref_dumps_instance(inst)
+

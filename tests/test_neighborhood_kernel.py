@@ -12,11 +12,14 @@ here, built on ``Graph.neighborhood_dedup``, and must agree witness for
 witness.
 """
 
+import functools
 import math
+import operator
 import random
 from collections import Counter, deque
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,7 +58,7 @@ def instance(label):
     return _built[label]
 
 
-def reference_edge_distances(g):
+def reference_vertex_distances(g):
     adjacent = [[] for _ in range(g.n)]
     for u, v in g.edges:
         adjacent[u].append(v)
@@ -72,7 +75,18 @@ def reference_edge_distances(g):
                     dist[x] = dist[w] + 1
                     queue.append(x)
         vertex_dist.append(dist)
+    return vertex_dist
+
+
+def reference_edge_distances(g):
+    vertex_dist = reference_vertex_distances(g)
     return [[min(vertex_dist[a][b] for a in e for b in f) for f in g.edges] for e in g.edges]
+
+
+def reference_edge_balls(g, t):
+    """Per vertex w, the bitmask of the edges with an endpoint within distance t of w."""
+    return tuple(sum(1 << f for f, (a, b) in enumerate(g.edges) if min(dist[a], dist[b]) <= t)
+                 for dist in reference_vertex_distances(g))
 
 
 def reference_ball(ref, e, t):
@@ -85,6 +99,34 @@ def fresh(g):
 
 
 labels = st.sampled_from(sorted(BUILDERS))
+
+# graphs the colored builders lack: no edges, isolated vertices, irregular
+# degrees, and diameters of 5 and 2, which t = 7 overshoots
+EDGE_CASES = {
+    "no vertices": Graph(0, ()),
+    "no edges": Graph(5, ()),
+    "isolated vertices": Graph.from_edges(8, [(1, 2), (2, 4), (1, 4), (5, 6)]),
+    "path P6": Graph.from_edges(6, [(i, i + 1) for i in range(5)]),
+    "star K1,5": Graph.from_edges(6, [(0, i) for i in range(1, 6)]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(EDGE_CASES))
+def test_edge_balls_match_bfs_reference_on_edge_cases(label):
+    g = fresh(EDGE_CASES[label])
+    for t in range(8):
+        assert g.edge_balls(t) == reference_edge_balls(g, t), t
+    # past the diameter every ball is its component's whole edge set, so the
+    # distinct nonzero balls split the edges
+    parts = set(fresh(g).edge_balls(7)) - {0}
+    assert sum(parts) == functools.reduce(operator.or_, parts, 0) == (1 << g.m) - 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(labels, st.integers(min_value=0, max_value=7))
+def test_edge_balls_match_bfs_reference(label, t):
+    cg, _ = instance(label)
+    assert fresh(cg.graph).edge_balls(t) == reference_edge_balls(cg.graph, t)
 
 
 @settings(deadline=None, max_examples=60)

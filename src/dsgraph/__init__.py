@@ -29,7 +29,7 @@ from .instance_io import (Instance, from_colored_graph, load_instance, save_inst
 from .list_assignments import (EMPTY, ListAssignment, SparsityReport, Violation,
                                conflict_edges, generate_distance2, generate_sparse,
                                support_is_distance2_matching, validate_beta_sparse)
-from .oracle import OracleResult, oracle_avoidable, oracle_cycle_census
+from .oracle import OracleResult, oracle_avoidable
 from .solver import (Exhaustive, FailureReport, Permutation, PermutationCheck,
                      RandomSearch, SelectionRecord, SolveResult, SolverParams, SwapPlan,
                      allowed_cycles, apply_permutation, check_permutation,

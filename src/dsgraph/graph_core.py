@@ -61,6 +61,8 @@ from .errors import IncompleteColoring, NotTwoColored, ResourceLimit
 UNREACHABLE = math.inf
 # per radius; admits Q14 (235 MB) and refuses Q15 (1.0 GB)
 EDGE_BALL_BYTES_CAP = 256 * 2 ** 20
+# (F, fields, partner, halves, ones, highs, lows), see Graph.half_edge_layout
+HalfEdgeLayout = tuple[int, dict[int, int], tuple[int, ...], int, int, int, int]
 
 
 class Graph:
@@ -81,7 +83,7 @@ class Graph:
         # the endpoint columns: edge e is (tails[e], heads[e])
         self.tails, self.heads = tuple(zip(*edges)) or ((), ())
         self._balls: dict[int, tuple[int, ...]] = {}
-        self._half_edges: tuple[int, dict[int, int], tuple[int, ...]] | None = None
+        self._half_edges: HalfEdgeLayout | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -172,17 +174,21 @@ class Graph:
         self._balls[t] = out
         return out
 
-    def half_edge_layout(self) -> tuple[int, dict[int, int], tuple[int, ...]]:
-        """(F, fields, partner): the half-edge bit layout of the exact oracle.
+    def half_edge_layout(self) -> HalfEdgeLayout:
+        """(F, fields, partner, halves, ones, highs, lows): the half-edge bit
+        layout of the exact oracle.
 
         F is the largest degree plus one, and vertex w owns the F bits from
         w * F up, its field: bit w * F + j stands for the half-edge at w of
         ``adjacency[w][j]``, and the top bit, w * F + F - 1, is a flag no
         half-edge uses. ``fields[k]`` is the sum of the fields (half-edges
-        and flag) of the vertices of degree k, and ``partner[w]`` holds w's
-        field and the far half-edges of the edges at w (for an edge wx, its
-        half-edge at x), so the two half-edges of an edge uv are
-        ``partner[u] & partner[v]``. Cached.
+        and flag) of the vertices of degree k, ``halves`` the sum of all
+        fields, and ``partner[w]`` holds w's field and the far half-edges of
+        the edges at w (for an edge wx, its half-edge at x), so the two
+        half-edges of an edge uv are ``partner[u] & partner[v]``. ``ones``,
+        ``highs`` and ``lows`` hold, in every field, its lowest bit, its flag
+        and the F - 1 bits below the flag: the constants of the oracle's SWAR
+        sweep. Cached.
         """
         if self._half_edges is None:
             width = self.max_degree + 1
@@ -195,7 +201,10 @@ class Graph:
                 partner[x] |= field
                 for j, e in enumerate(adj):
                     partner[self.other_endpoint(e, x)] |= 1 << (base + j)
-            self._half_edges = (width, fields, tuple(partner))
+            ones = ((1 << self.n * width) - 1) // ((1 << width) - 1)
+            highs = ones << width - 1
+            self._half_edges = (width, fields, tuple(partner), sum(fields.values()),
+                                ones, highs, highs - ones)
         return self._half_edges
 
     def nbhd_mask(self, e: int, t: int) -> int:

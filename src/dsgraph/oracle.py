@@ -4,9 +4,6 @@ oracle_avoidable decides by exhaustive backtracking whether any proper
 d-edge-coloring avoids the forbidden lists. It branches on edges, and once a
 search has met a dead end it also reasons on (vertex, color) items, as in an
 exact-cover search: at a vertex of degree d every color is used exactly once.
-oracle_cycle_census recounts two-colored 4-cycles from scratch by scanning
-vertex quadruples, so it shares no code path with the per-edge cycle
-enumeration it is used to cross-check.
 """
 
 from __future__ import annotations
@@ -43,15 +40,21 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
     lowest-id edge with the fewest colors.
 
     ``avail[c]`` is the bitmask of the edges where color c + 1 is allowed and
-    free at both ends, and ``planes`` is a bit-sliced binary counter over all
-    edges, P = max(1, d.bit_length()) planes wide: bit i of the number of
-    colors in ``avail`` at edge e is bit e of ``planes[i]``. Coloring uv with
-    c removes c from the edges in ``avail[c] & (E_0(u) | E_0(v))``, and one
-    borrow chain subtracts that mask from the counter into a new plane list.
-    The frame keeps the previous ``avail[c]`` and plane list, so undoing
-    restores both by reference, and the picks above are a few whole-graph
-    ANDs and one ``pick & -pick``. An explicit stack keeps the depth (up to
-    m) off the interpreter's recursion limit.
+    free at both ends, and ``zeros`` is a complemented bit-sliced binary
+    counter over all edges, P = max(1, d.bit_length()) planes wide: bit e of
+    ``zeros[i]`` is set when bit i of the number of colors in ``avail`` at
+    edge e is clear. Set-up counts d at every edge and subtracts each
+    color's forbidden mask. Coloring uv with c removes c from the edges in
+    ``lost = avail[c] & (E_0(u) | E_0(v))``, and one borrow chain subtracts
+    that mask into a new plane list, two int operations a plane
+    (``z ^ lost``, then ``lost &= z``). The edges with at most one color
+    are ``unc & zeros[1] & ... & zeros[P-1]``, and the fewest-colors scan
+    keeps, from the top plane down, the edges whose bit is clear wherever
+    some edge's is. Whether the picked edge has a color at all is read off
+    its own small color mask, ``allowed[e] & ~(used[u] | used[v])``, which
+    the node needs anyway. The frame keeps the previous ``avail[c]`` and
+    plane list, so undoing restores both by reference. An explicit stack
+    keeps the depth (up to m) off the interpreter's recursion limit.
 
     Items. A (w, c) item exists for each vertex w of degree exactly d and
     each color c not yet used at w; its options are the uncolored edges at w
@@ -68,17 +71,19 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
     AND, which clears the fields and far half-edges of u and v in ``H[c]``,
     and one XOR of the two half-edges of uv out of ``uh``. A SWAR sweep of
     about ten int operations per color finds the items with at most one
-    option, and among them the dead ones.
+    option, and among them the dead ones; its constants, like the flags and
+    half-edges ``uh`` starts from, are cached with the layout.
 
     The items are armed at the call's first dead end: a search that never
     backtracks runs the edge search alone. That dead end builds ``H`` and
-    ``uh`` once by replaying the stack, and each frame then also keeps the
-    ``H[c]`` it replaced. From then on every branch point sweeps first: a
-    dead item is a dead end, and else the lowest-vertex single item of the
-    lowest color is forced. A sweep that finds neither leaves a clean
-    state, and backtracking to a frame pushed after it restores one, so the
-    next sweep looks only at the colors that have changed since: those
-    assigned, and those with an option among the half-edges colored.
+    ``uh`` once by walking the lists and replaying the stack, and each frame
+    then also keeps the ``H[c]`` it replaced. From then on every branch
+    point sweeps first: a dead item is a dead end, and else the
+    lowest-vertex single item of the lowest color is forced. A sweep that
+    finds neither leaves a clean state, and backtracking to a frame pushed
+    after it restores one, so the next sweep looks only at the colors that
+    have changed since: those assigned, and those with an option among the
+    half-edges colored.
 
     Each frame holds P + 1 ints of m bits and, once armed, one of n * F
     bits, so a graph whose worst case, m * (m * (P + 1) + n * F) / 8 bytes,
@@ -109,10 +114,11 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
                 forbidden[c - 1] |= 1 << e
     unc = (1 << m) - 1
     avail = [unc ^ f for f in forbidden]
-    planes = [0] * width
-    for carry in avail:
-        for i, p in enumerate(planes):
-            planes[i], carry = p ^ carry, p & carry
+    zeros = [0 if d >> i & 1 else unc for i in range(width)]
+    for lost in forbidden:
+        for i, z in enumerate(zeros):
+            zeros[i] = z ^ lost
+            lost &= z
     edges = g.edges
     balls = g.edge_balls(0)
     used = [0] * g.n
@@ -125,41 +131,49 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
     # before, and that color's H before once H is built, else None)
     stack: list[tuple] = []
     while unc:
-        high = 0
-        for p in planes[1:]:
-            high |= p
-        pick = unc & ~high  # the uncolored edges with at most one color left
+        pick = unc
+        for z in zeros[1:]:
+            pick &= z  # the uncolored edges with at most one color left
         if pick:
             pick &= -pick
-            dead = pick & ~planes[0]  # the lowest of them has none
+            e = pick.bit_length() - 1
+            u, v = edges[e]
+            mask = allowed[e] & ~(used[u] | used[v])  # empty at a dead end
         else:
-            dead = 0
-            pick = unc
-            for p in reversed(planes):
-                if pick & ~p:
-                    pick &= ~p
-            pick &= -pick
-            if H is not None:
-                found = _sweep(H, uh, stale, removed, ones, highs, lows)
-                if found is None:
-                    item_dead_ends += 1
-                    dead = 1
-                elif found[0]:
-                    single, c = found
-                    item_forced += 1
-                    w = ((single & -single).bit_length() - 1) // field_width
-                    option = ((H[c] & uh) >> (w * field_width)) & ((1 << (field_width - 1)) - 1)
-                    e = g.adjacency[w][option.bit_length() - 1]
-                    pick = 0
-                else:
-                    # no item is dead or single: the branch frame starts clean
-                    stale = removed = 0
-        if dead:
+            found = (0, 0) if H is None else _sweep(H, uh, stale, removed, ones, highs, lows)
+            if found is None:
+                item_dead_ends += 1
+                mask = 0
+            elif found[0]:
+                single, c = found
+                item_forced += 1
+                w = ((single & -single).bit_length() - 1) // field_width
+                option = ((H[c] & uh) >> (w * field_width)) & ((1 << (field_width - 1)) - 1)
+                e = g.adjacency[w][option.bit_length() - 1]
+                u, v = edges[e]
+                pick = 1 << e
+                mask = 1 << c
+            else:
+                # no item is dead or single (or none is armed): the branch
+                # frame starts clean
+                stale = removed = 0
+                pick = unc
+                for z in reversed(zeros):
+                    t = pick & z
+                    if t:
+                        pick = t
+                pick &= -pick
+                e = pick.bit_length() - 1
+                u, v = edges[e]
+                mask = allowed[e] & ~(used[u] | used[v])
+        if mask:
+            unc ^= pick
+        else:
             # pop and undo frames until one has a color left to try
             while True:
                 if not stack:
                     return OracleResult(False, None, nodes, item_forced, item_dead_ends)
-                e, mask, bit, before, planes, before_h = stack.pop()
+                e, mask, bit, before, zeros, before_h = stack.pop()
                 u, v = edges[e]
                 used[u] &= ~bit
                 used[v] &= ~bit
@@ -172,7 +186,8 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
                     break
                 unc |= 1 << e
             if H is None:
-                field_width, partner, ones, highs, lows, H, uh = _build_items(g, d, L, stack)
+                field_width, _, partner, _, ones, highs, lows = g.half_edge_layout()
+                H, uh = _build_items(g, d, L, stack)
                 # the frames pushed after the next one start swept, those below never were
                 armed_at = len(stack) + 1
                 stale = full
@@ -180,15 +195,6 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
                 # back at the clean state where that frame was pushed, if it was swept
                 stale = 0 if len(stack) >= armed_at else full
             removed = 0
-        else:
-            if pick:
-                e = pick.bit_length() - 1
-                u, v = edges[e]
-                mask = allowed[e] & ~(used[u] | used[v])
-            else:
-                u, v = edges[e]
-                mask = 1 << c
-            unc ^= 1 << e
         bit = mask & -mask
         nodes += 1
         if nodes > limit:
@@ -196,10 +202,10 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
         c = bit.bit_length()
         before = avail[c - 1]
         if H is None:
-            stack.append((e, mask ^ bit, bit, before, planes, None))
+            stack.append((e, mask ^ bit, bit, before, zeros, None))
         else:
             before_h = H[c - 1]
-            stack.append((e, mask ^ bit, bit, before, planes, before_h))
+            stack.append((e, mask ^ bit, bit, before, zeros, before_h))
             H[c - 1] = before_h & ~(partner[u] | partner[v])
             halves = partner[u] & partner[v]
             uh ^= halves
@@ -211,25 +217,20 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
         lost = before & (balls[u] | balls[v])
         avail[c - 1] = before ^ lost
         counted = []
-        for p in planes:
-            counted.append(p ^ lost)
-            lost &= ~p
-        planes = counted
+        for z in zeros:
+            counted.append(z ^ lost)
+            lost &= z
+        zeros = counted
     return OracleResult(True, EdgeColoring(tuple(assignment), d), nodes,
                         item_forced, item_dead_ends)
 
 
-def _build_items(g: Graph, d: int, L: ListAssignment, stack: list[tuple]) -> tuple:
-    """The item state for ``oracle_avoidable``, built by replaying its stack.
-
-    Returns F, ``partner``, the SWAR constants (the low bit, the flag and the
-    half-edge bits of every field), ``H`` and ``uh``. Each frame on the
-    stack gets the ``H[c]`` its color replaced.
-    """
-    width, fields, partner = g.half_edge_layout()
-    ones = ((1 << g.n * width) - 1) // ((1 << width) - 1)
-    highs = ones << width - 1
-    uh = sum(fields.values())
+def _build_items(g: Graph, d: int, L: ListAssignment,
+                 stack: list[tuple]) -> tuple[list[int], int]:
+    """(H, uh), the item state for ``oracle_avoidable``, built by walking the
+    lists and replaying its stack; each frame on the stack gets the ``H[c]``
+    its color replaced."""
+    _, fields, partner, uh, *_ = g.half_edge_layout()
     H = [fields.get(d, 0)] * d
     edges = g.edges
     for e, colors in L.items():
@@ -238,14 +239,14 @@ def _build_items(g: Graph, d: int, L: ListAssignment, stack: list[tuple]) -> tup
         for c in colors:
             if 1 <= c <= d:
                 H[c - 1] &= ~halves
-    for i, (e, rest, bit, before, planes, _) in enumerate(stack):
+    for i, (e, rest, bit, before, zeros, _) in enumerate(stack):
         u, v = edges[e]
         c = bit.bit_length() - 1
         before_h = H[c]
         H[c] = before_h & ~(partner[u] | partner[v])
         uh ^= partner[u] & partner[v]
-        stack[i] = (e, rest, bit, before, planes, before_h)
-    return width, partner, ones, highs, highs - ones, H, uh
+        stack[i] = (e, rest, bit, before, zeros, before_h)
+    return H, uh
 
 
 def _sweep(H: list[int], uh: int, stale: int, removed: int, ones: int, highs: int,
@@ -275,35 +276,3 @@ def _sweep(H: list[int], uh: int, stale: int, removed: int, ones: int, highs: in
                 if not single:
                     single, color = few, c
     return single, color
-
-
-def oracle_cycle_census(g: Graph, f: EdgeColoring) -> dict[int, int]:
-    """Per-edge counts of two-colored 4-cycles, by direct quadruple scan.
-
-    A 4-cycle u-v-z-t is generated once in canonical form: u is its least
-    vertex, v and t are the two neighbors of u on the cycle with v < t, and z
-    is their common neighbor opposite u. The cycle counts for each of its
-    edges when its edges alternate between exactly two colors.
-    """
-    counts = {e: 0 for e in range(g.m)}
-    neighbor_sets = []
-    for u in range(g.n):
-        neighbor_sets.append({g.other_endpoint(e, u) for e in g.adjacency[u]})
-    for u in range(g.n):
-        nbrs = sorted(w for w in neighbor_sets[u] if w > u)
-        for i, v in enumerate(nbrs):
-            for t in nbrs[i + 1:]:
-                for z in neighbor_sets[v] & neighbor_sets[t]:
-                    if z <= u:
-                        continue
-                    e_uv = g.edge_index[(min(u, v), max(u, v))]
-                    e_vz = g.edge_index[(min(v, z), max(v, z))]
-                    e_zt = g.edge_index[(min(z, t), max(z, t))]
-                    e_tu = g.edge_index[(min(t, u), max(t, u))]
-                    ca, cb = f[e_uv], f[e_vz]
-                    if ca == 0 or cb == 0 or ca == cb:
-                        continue
-                    if f[e_zt] == ca and f[e_tu] == cb:
-                        for e in (e_uv, e_vz, e_zt, e_tu):
-                            counts[e] += 1
-    return counts

@@ -205,6 +205,214 @@ def edge_oracle(g, d, L, limit):
     return True, tuple(assignment), nodes
 
 
+def item_oracle(g, d, L, limit):
+    """``oracle_avoidable`` as it stood before its counter planes were kept
+    complemented: the edge search on bit-sliced color counters, the
+    (vertex, color) items armed at the first dead end (``_item_build``) and
+    read by ``_item_sweep``. Kept as the reference whose ``OracleResult``,
+    counters and budget point the node step must reproduce."""
+    if limit < 0:
+        raise ValueError(f"node budget must be nonnegative, got {limit}")
+    m = g.m
+    width = max(1, d.bit_length())
+    frame_bytes = m * (m * (width + 1) + g.n * (g.max_degree + 1)) // 8
+    if frame_bytes > dg.graph_core.EDGE_BALL_BYTES_CAP:
+        raise dg.ResourceLimit(f"oracle frames need up to {frame_bytes} bytes, "
+                               f"above cap {dg.graph_core.EDGE_BALL_BYTES_CAP}")
+    full = (1 << d) - 1
+    allowed = [full] * m
+    forbidden = [0] * d
+    for e, colors in L.items():
+        if not 0 <= e < m:
+            raise dg.ColorOutOfRange(f"list attached to nonexistent edge {e}")
+        for c in colors:
+            if 1 <= c <= d:
+                allowed[e] &= ~(1 << (c - 1))
+                forbidden[c - 1] |= 1 << e
+    unc = (1 << m) - 1
+    avail = [unc ^ f for f in forbidden]
+    planes = [0] * width
+    for carry in avail:
+        for i, p in enumerate(planes):
+            planes[i], carry = p ^ carry, p & carry
+    edges = g.edges
+    balls = g.edge_balls(0)
+    used = [0] * g.n
+    assignment = [0] * m
+    nodes = item_forced = item_dead_ends = 0
+    H = None  # the item state, built at the first dead end
+
+    # one frame per colored edge, pushed when its color is assigned: (edge,
+    # colors not yet tried, its color's bit, that color's avail and the planes
+    # before, and that color's H before once H is built, else None)
+    stack = []
+    while unc:
+        high = 0
+        for p in planes[1:]:
+            high |= p
+        pick = unc & ~high  # the uncolored edges with at most one color left
+        if pick:
+            pick &= -pick
+            dead = pick & ~planes[0]  # the lowest of them has none
+        else:
+            dead = 0
+            pick = unc
+            for p in reversed(planes):
+                if pick & ~p:
+                    pick &= ~p
+            pick &= -pick
+            if H is not None:
+                found = _item_sweep(H, uh, stale, removed, ones, highs, lows)
+                if found is None:
+                    item_dead_ends += 1
+                    dead = 1
+                elif found[0]:
+                    single, c = found
+                    item_forced += 1
+                    w = ((single & -single).bit_length() - 1) // field_width
+                    option = ((H[c] & uh) >> (w * field_width)) & ((1 << (field_width - 1)) - 1)
+                    e = g.adjacency[w][option.bit_length() - 1]
+                    pick = 0
+                else:
+                    # no item is dead or single: the branch frame starts clean
+                    stale = removed = 0
+        if dead:
+            # pop and undo frames until one has a color left to try
+            while True:
+                if not stack:
+                    return dg.OracleResult(False, None, nodes, item_forced, item_dead_ends)
+                e, mask, bit, before, planes, before_h = stack.pop()
+                u, v = edges[e]
+                used[u] &= ~bit
+                used[v] &= ~bit
+                c = bit.bit_length() - 1
+                avail[c] = before
+                if H is not None:
+                    H[c] = before_h
+                    uh ^= partner[u] & partner[v]
+                if mask:
+                    break
+                unc |= 1 << e
+            if H is None:
+                field_width, partner, ones, highs, lows, H, uh = _item_build(g, d, L, stack)
+                # the frames pushed after the next one start swept, those below never were
+                armed_at = len(stack) + 1
+                stale = full
+            else:
+                # back at the clean state where that frame was pushed, if it was swept
+                stale = 0 if len(stack) >= armed_at else full
+            removed = 0
+        else:
+            if pick:
+                e = pick.bit_length() - 1
+                u, v = edges[e]
+                mask = allowed[e] & ~(used[u] | used[v])
+            else:
+                u, v = edges[e]
+                mask = 1 << c
+            unc ^= 1 << e
+        bit = mask & -mask
+        nodes += 1
+        if nodes > limit:
+            raise dg.OracleBudgetExceeded(nodes)
+        c = bit.bit_length()
+        before = avail[c - 1]
+        if H is None:
+            stack.append((e, mask ^ bit, bit, before, planes, None))
+        else:
+            before_h = H[c - 1]
+            stack.append((e, mask ^ bit, bit, before, planes, before_h))
+            H[c - 1] = before_h & ~(partner[u] | partner[v])
+            halves = partner[u] & partner[v]
+            uh ^= halves
+            removed |= halves
+            stale |= bit
+        assignment[e] = c
+        used[u] |= bit
+        used[v] |= bit
+        lost = before & (balls[u] | balls[v])
+        avail[c - 1] = before ^ lost
+        counted = []
+        for p in planes:
+            counted.append(p ^ lost)
+            lost &= ~p
+        planes = counted
+    return dg.OracleResult(True, dg.EdgeColoring(tuple(assignment), d), nodes,
+                           item_forced, item_dead_ends)
+
+
+def _item_build(g, d, L, stack):
+    width, fields, partner = g.half_edge_layout()[:3]
+    ones = ((1 << g.n * width) - 1) // ((1 << width) - 1)
+    highs = ones << width - 1
+    uh = sum(fields.values())
+    H = [fields.get(d, 0)] * d
+    edges = g.edges
+    for e, colors in L.items():
+        u, v = edges[e]
+        halves = partner[u] & partner[v]
+        for c in colors:
+            if 1 <= c <= d:
+                H[c - 1] &= ~halves
+    for i, (e, rest, bit, before, planes, _) in enumerate(stack):
+        u, v = edges[e]
+        c = bit.bit_length() - 1
+        before_h = H[c]
+        H[c] = before_h & ~(partner[u] | partner[v])
+        uh ^= partner[u] & partner[v]
+        stack[i] = (e, rest, bit, before, planes, before_h)
+    return width, partner, ones, highs, highs - ones, H, uh
+
+
+def _item_sweep(H, uh, stale, removed, ones, highs, lows):
+    single = color = 0
+    for c, h in enumerate(H):
+        if stale >> c & 1 or h & removed:
+            x = h & uh
+            y = ((x | highs) - ones) & x
+            few = x & ~((y & lows) + lows) & highs
+            if few:
+                if few & ~((x & lows) + lows):
+                    return None
+                if not single:
+                    single, color = few, c
+    return single, color
+
+
+def oracle_cycle_census(g, f):
+    """Per-edge counts of two-colored 4-cycles, by direct quadruple scan.
+
+    A 4-cycle u-v-z-t is generated once in canonical form: u is its least
+    vertex, v and t are the two neighbors of u on the cycle with v < t, and z
+    is their common neighbor opposite u. The cycle counts for each of its
+    edges when its edges alternate between exactly two colors. It scans
+    vertex quadruples, so it shares no code path with the library's per-edge
+    cycle enumeration or its census, which the tests check against it.
+    """
+    counts = {e: 0 for e in range(g.m)}
+    neighbor_sets = []
+    for u in range(g.n):
+        neighbor_sets.append({g.other_endpoint(e, u) for e in g.adjacency[u]})
+    for u in range(g.n):
+        nbrs = sorted(w for w in neighbor_sets[u] if w > u)
+        for i, v in enumerate(nbrs):
+            for t in nbrs[i + 1:]:
+                for z in neighbor_sets[v] & neighbor_sets[t]:
+                    if z <= u:
+                        continue
+                    e_uv = g.edge_index[(min(u, v), max(u, v))]
+                    e_vz = g.edge_index[(min(v, z), max(v, z))]
+                    e_zt = g.edge_index[(min(z, t), max(z, t))]
+                    e_tu = g.edge_index[(min(t, u), max(t, u))]
+                    ca, cb = f[e_uv], f[e_vz]
+                    if ca == 0 or cb == 0 or ca == cb:
+                        continue
+                    if f[e_zt] == ca and f[e_tu] == cb:
+                        for e in (e_uv, e_vz, e_zt, e_tu):
+                            counts[e] += 1
+    return counts
+
+
 def _ref_color_array(values, m, d, name):
     if not isinstance(values, list) or len(values) != m:
         raise dg.InvalidInstance(f"{name}: length must equal the number of edges ({m})")

@@ -18,8 +18,8 @@ import pytest
 from mpmath import mp
 
 import dsgraph as dg
-from tests.conftest import (are_edge_disjoint, random_lists, vertex_color_set,
-                            vertex_used_counts)
+from tests.conftest import (are_edge_disjoint, oracle_cycle_census, random_lists,
+                            vertex_color_set, vertex_used_counts)
 
 
 def run_criterion(number, label, body):
@@ -81,7 +81,7 @@ def test_criterion_1_constructor_s_values():
 
         # cross-check every census against the independent quadruple scan
         for cg in built:
-            census = dg.oracle_cycle_census(cg.graph, cg.coloring)
+            census = oracle_cycle_census(cg.graph, cg.coloring)
             direct = {e: len(dg.two_colored_cycles_through(cg.graph, cg.coloring, e))
                       for e in range(len(cg.graph.edges))}
             assert census == direct

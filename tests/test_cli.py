@@ -6,6 +6,7 @@ import pytest
 
 import dsgraph as dg
 from dsgraph.cli import main
+from tests.conftest import oracle_cycle_census
 from tests.test_neighborhood_kernel import BUILDERS
 
 
@@ -173,7 +174,7 @@ def test_analyze_counts_agree_with_the_quadruple_scan(label, tmp_path, capsys):
     cg = BUILDERS[label]()
     f = str(tmp_path / "g.json")
     dg.save_instance(dg.from_colored_graph(cg), f)
-    census = dg.oracle_cycle_census(cg.graph, cg.coloring)
+    census = oracle_cycle_census(cg.graph, cg.coloring)
     code, out, _ = run(capsys, "analyze", f)
     assert code == 0 and out.endswith(_cycles_line(census))
     code, out, _ = run(capsys, "analyze", f, "--json")
@@ -195,7 +196,7 @@ def test_analyze_counts_uneven_and_empty_graphs(drop, line, tmp_path, capsys):
     dg.save_instance(dg.instance_io.Instance(graph=g, d=3, coloring=h), f)
     code, out, _ = run(capsys, "analyze", f)
     assert code == 0
-    assert out.endswith(_cycles_line(dg.oracle_cycle_census(g, h))) and line in out
+    assert out.endswith(_cycles_line(oracle_cycle_census(g, h))) and line in out
 
 
 def _without_family(tmp_path, capsys, edit):

@@ -384,7 +384,7 @@ def test_half_edge_layout_gives_each_half_edge_one_bit():
               dg.Graph(0, ())]
     for g in graphs:
         layout = g.half_edge_layout()
-        F, fields, partner = layout
+        F, fields, partner, halves, ones, highs, lows = layout
         assert F == max((len(a) for a in g.adjacency), default=0) + 1
         slot = {(w, e): 1 << (w * F + j)
                 for w, adj in enumerate(g.adjacency) for j, e in enumerate(adj)}
@@ -397,4 +397,7 @@ def test_half_edge_layout_gives_each_half_edge_one_bit():
                           for k in {len(adj) for adj in g.adjacency}}
         for e, (u, v) in enumerate(g.edges):
             assert partner[u] & partner[v] == slot[(u, e)] | slot[(v, e)]
+        assert halves == sum(field)
+        assert ones == sum(1 << w * F for w in range(g.n))
+        assert highs == ones << F - 1 and lows == sum(ones << j for j in range(F - 1))
         assert g.half_edge_layout() is layout

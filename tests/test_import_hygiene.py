@@ -41,3 +41,35 @@ def test_every_imported_name_is_read(path):
               if module == path.stem and cls is None}
     unread = unread_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert unread - traced == set()
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The dsgraph modules a module imports, by relative or absolute name
+    ("dsgraph" itself for the whole package)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "dsgraph":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "dsgraph":
+                    found.add(rest.split(".")[0] or top)
+    return found
+
+
+def test_oracle_imports_no_solver_code():
+    # the oracle is the independent reference the solver is tested against
+    sample = ("from . import solver\nfrom .errors import X\nimport dsgraph.bounds\n"
+              "from dsgraph import cli\nimport dsgraph\nimport os\n")
+    assert package_imports(ast.parse(sample)) == {"solver", "errors", "bounds", "cli", "dsgraph"}
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    assert package_imports(tree) <= {"graph_core", "errors", "list_assignments"}

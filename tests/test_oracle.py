@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import pytest
 
 import dsgraph as dg
-from tests.conftest import edge_oracle, random_lists
+from tests.conftest import edge_oracle, item_oracle, oracle_cycle_census, random_lists
 
 
 def test_oracle_trivial_empty_lists(q3):
@@ -270,6 +270,70 @@ def test_item_search_matches_the_edge_searches_off_degree_d(index, density, seed
         assert res.item_forced == res.item_dead_ends == 0
 
 
+def _without_one_matching(t):
+    return dg.remove_standard_matchings(dg.complete_bipartite_pow2(t), 1)
+
+
+# d on each side of a plane-width step (P = 1, 2, 3, 3, 4, 4, 5 at d = 1, 3,
+# 4, 7, 8, 15, 16), the deep graphs, and graphs off degree d: (graph, d,
+# colored graph for distance-2 lists or None)
+DIFFERENTIAL_CASES = [
+    *((cg.graph, cg.d, cg) for cg in (dg.hypercube(1), ORACLE_GRAPHS["Q3"],
+                                       ORACLE_GRAPHS["K4,4"], _without_one_matching(3),
+                                       ORACLE_GRAPHS["K8,8"], _without_one_matching(4),
+                                       ORACLE_GRAPHS["K16,16"])),
+    *((cg.graph, cg.d, cg) for cg in DEEP_GRAPHS.values()),
+    *((g, d, None) for g, d in IRREGULAR_GRAPHS),
+]
+
+
+def differential_lists(g, d, cg, kind, seed):
+    """Distance-2 lists where the graph is colored for d, else random lists
+    with, by kind, colors outside 1..d added to a few lists, or a few edges
+    that forbid every color among lists of up to d - 1 colors, so that
+    edges with one color left come before them."""
+    if kind == "distance2" and cg is not None and cg.d == d:
+        return dg.generate_distance2(cg, seed, cg.s_measured - 1)
+    size = max(2, d - 1) if kind == "every" else 2
+    raw = {e: set(colors) for e, colors in random_lists(g, d, seed, size).items()}
+    rng = random.Random(seed)
+    if kind == "every":
+        for e in rng.sample(range(g.m), 1 + g.m // 64):
+            raw[e] = set(range(1, d + 1))
+    elif kind == "outside":
+        for e in rng.sample(range(g.m), 1 + g.m // 8):
+            raw.setdefault(e, set()).update((-1, 0, d + 1, d + 5))
+    return dg.ListAssignment.from_dict({e: sorted(cs) for e, cs in raw.items()})
+
+
+def same_search(g, d, L, limit):
+    """The result of ``oracle_avoidable``, or the node at which it ran out of
+    budget, required equal to that of the item search it replaced."""
+    def outcome(oracle):
+        try:
+            return oracle(g, d, L, limit)
+        except dg.OracleBudgetExceeded as exc:
+            return exc.nodes_explored
+    got = outcome(dg.oracle_avoidable)
+    assert got == outcome(item_oracle)
+    return got
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(min_value=0, max_value=len(DIFFERENTIAL_CASES) - 1), st.booleans(),
+       st.sampled_from(("random", "distance2", "every", "outside")),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_node_step_repeats_the_item_search(index, above, kind, seed):
+    # the same nodes, counters, witness and budget point as the reference,
+    # also with one color more than the degree, and one node short of the end
+    g, d, cg = DIFFERENTIAL_CASES[index]
+    d += above
+    L = differential_lists(g, d, cg, kind, seed)
+    res = same_search(g, d, L, 2000)
+    if isinstance(res, dg.OracleResult) and res.nodes_explored:
+        assert same_search(g, d, L, res.nodes_explored - 1) == res.nodes_explored
+
+
 def test_oracle_plane_width_edge_cases():
     # Q1 has d = 1 and one plane, Q2 d = 2 and two; every list assignment
     for cg in (dg.hypercube(1), dg.hypercube(2)):
@@ -424,7 +488,7 @@ def test_oracle_agrees_with_sparse_solver(q4):
 def test_cycle_census_matches_direct_enumeration(q3, q4, k44, k88):
     for cg in (q3, q4, k44, k88):
         g, h = cg.graph, cg.coloring
-        census = dg.oracle_cycle_census(g, h)
+        census = oracle_cycle_census(g, h)
         direct = {e: len(dg.two_colored_cycles_through(g, h, e))
                   for e in range(len(g.edges))}
         assert census == direct
@@ -435,7 +499,7 @@ def test_cycle_census_after_swaps(q4):
     g, h = q4.graph, q4.coloring
     f = dg.swap_cycle(h, dg.two_colored_cycles_through(g, h, 0)[0])
     f = dg.swap_cycle(f, dg.two_colored_cycles_through(g, f, 20)[0])
-    census = dg.oracle_cycle_census(g, f)
+    census = oracle_cycle_census(g, f)
     direct = {e: len(dg.two_colored_cycles_through(g, f, e))
               for e in range(len(g.edges))}
     assert census == direct
@@ -443,5 +507,5 @@ def test_cycle_census_after_swaps(q4):
 
 def test_census_supports_compute_s(k88):
     g, h = k88.graph, k88.coloring
-    census = dg.oracle_cycle_census(g, h)
+    census = oracle_cycle_census(g, h)
     assert dg.compute_s(g, h) == min(census.values()) + 1

@@ -34,7 +34,7 @@ from .solver import (Exhaustive, FailureReport, Permutation, PermutationCheck,
                      RandomSearch, SelectionRecord, SolveResult, SolverParams, SwapPlan,
                      allowed_cycles, apply_permutation, check_permutation,
                      construct_swap_plan, default_params, find_permutation, find_violation,
-                     solve_distance2, solve_sparse, swap_blockers, verify_solution)
+                     solve_distance2, solve_sparse, verify_solution)
 
 __version__ = "0.1.0"
 

@@ -147,6 +147,7 @@ def cmd_gen_lists(args) -> int:
         _require(args.beta is not None, "one of --beta or --distance2 is required")
         lists = generate_sparse(cg, args.beta, args.seed)
     inst.lists = lists
+    inst.solution = inst.plan = inst.report = None  # they answered the old lists
     out = args.out or args.file
     save_instance(inst, out)
     print(f"lists: {len(lists.support())} edges, {lists.total_entries()} entries "
@@ -182,26 +183,23 @@ def cmd_solve(args) -> int:
             else RandomSearch(trials=args.trials, seed=args.seed)
         result = solve_sparse(cg, lists, _solver_params(cg, args), strategy)
         report = {"mode": "theorem1", "trials": result.trials_used}
-    if result.ok:  # both solvers report ok only after verify_solution passed
+    if result.ok:  # both solvers report ok, with a plan, only after verify_solution passed
         report["phase"] = "done"
-        if result.plan is not None:
-            report["cycles_swapped"] = len(result.plan.cycles)
-            if result.plan.records:
-                report["selection"] = [dataclasses.asdict(r) for r in result.plan.records]
+        report["cycles_swapped"] = len(result.plan.cycles)
+        if result.plan.records:
+            report["selection"] = [dataclasses.asdict(r) for r in result.plan.records]
         inst.solution = result.coloring
-        if result.plan is not None:
-            inst.plan = tuple((c.u, c.v, c.z, c.t) for c in result.plan.cycles)
-        inst.report = report
-        out = args.out or args.file
-        save_instance(inst, out)
-        print(f"solved ({report['mode']}): {len(result.plan.cycles) if result.plan else 0} "
-              f"swaps, verified -> {out}")
-        return 0
-    fail = result.failure
-    report.update((k, v) for k, v in dataclasses.asdict(fail).items() if v is not None)
+        inst.plan = tuple((c.u, c.v, c.z, c.t) for c in result.plan.cycles)
+    else:
+        fail = result.failure
+        report.update((k, v) for k, v in dataclasses.asdict(fail).items() if v is not None)
+        inst.solution = inst.plan = None  # an older solution would sit beside this failure
     inst.report = report
     out = args.out or args.file
     save_instance(inst, out)
+    if result.ok:
+        print(f"solved ({report['mode']}): {len(result.plan.cycles)} swaps, verified -> {out}")
+        return 0
     print(f"solve failed in phase {fail.phase}: {fail.message}", file=sys.stderr)
     return 1
 
@@ -239,6 +237,7 @@ def cmd_oracle(args) -> int:
         print(f"avoidable ({counts})")
         if args.out:
             inst.solution = result.witness
+            inst.plan = inst.report = None  # a solver's plan and report do not fit the witness
             save_instance(inst, args.out)
             print(f"witness -> {args.out}")
         return 0

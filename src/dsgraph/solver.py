@@ -11,8 +11,9 @@ vertices or matchings (at least epsilon*s used edges) or edges that are
 conflicts or already used. The chosen cycles are pairwise edge-disjoint, so
 swapping them all yields a proper coloring with no conflicts.
 
-A cycle is "allowed" when ``swap_blockers`` shows that swapping it leaves all
-four edges outside their lists. Swaps preserve properness and each vertex's color set.
+A cycle is "allowed" when ``_swap_allowed`` holds: swapping it leaves all four
+edges outside their lists. Both phase-two searches take their candidates from
+``_candidates``. Swaps preserve properness and each vertex's color set.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .list_assignments import (ListAssignment, _check_colors, as_fraction, confl
                                support_is_distance2_matching)
 
 EXHAUSTIVE_D_CAP = 8
-_NO_COLORS = frozenset()
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,9 @@ class _Checker:
     listed edge (an edge with an empty list counts as listed), and gives one
     entry in ``cycles``: (own color - 1, other color - 1, blocks own,
     blocks other, e, partner, e_vz, e_tu), the two blocker sets as bitmasks
-    over colors. A swap is blocked for all four of its edges or for none, so
+    over colors, which are ``_swap_allowed`` precomputed for every image: rho
+    blocks the cycle when rho(own) is in blocks own or rho(other) in blocks
+    other. A swap is blocked for all four of its edges or for none, so
     a trial tests each entry once and counts a blocked one against its four
     edges; (c) is then checked per edge, in ascending edge order. ``hits``
     names the listed edges that conflict for each (matching, image) pair, so
@@ -212,8 +214,6 @@ class _Checker:
                 if ((ez < e and listed[ez]) or (et < e and listed[et])
                         or (partner < e and listed[partner])):
                     continue
-                # as in ``swap_blockers``: the swap puts color a on vz and tu,
-                # color b on uv and zt
                 cycles.append((ia, c - 1, masks[ez] | masks[et], own | masks[partner],
                                e, partner, ez, et))
         self.cycles = cycles
@@ -322,30 +322,32 @@ def find_permutation(cg: ColoredGraph, L: ListAssignment, params: SolverParams,
     return rho
 
 
-def swap_blockers(L: ListAssignment, cyc: FourCycle) -> tuple[frozenset, frozenset]:
-    """(blocks_a, blocks_b): the swap moves the a-color onto vz and tu, whose lists
-    block it, and the b-color onto uv and zt, whose lists block it."""
+def _swap_allowed(L: ListAssignment, cyc: FourCycle) -> bool:
+    """The swap rule: swapping cyc puts color a on vz and tu and color b on uv
+    and zt, and is allowed when none of the four lists holds its edge's new color."""
     get = L.lists.get
-    a1, a2 = get(cyc.e_vz, _NO_COLORS), get(cyc.e_tu, _NO_COLORS)
-    b1, b2 = get(cyc.e_uv, _NO_COLORS), get(cyc.e_zt, _NO_COLORS)
-    # pass a list through when its partner is empty: no new set for most cycles
-    return (a1 | a2 if a1 and a2 else a1 or a2, b1 | b2 if b1 and b2 else b1 or b2)
+    a, b = cyc.color_a, cyc.color_b
+    return not (a in get(cyc.e_vz, ()) or a in get(cyc.e_tu, ())
+                or b in get(cyc.e_uv, ()) or b in get(cyc.e_zt, ()))
 
 
 def allowed_cycles(cg: ColoredGraph, f: EdgeColoring, L: ListAssignment, e: int,
                    table=None) -> tuple[FourCycle, ...]:
     """Cycles through e whose swap leaves all four edges conflict-free."""
-    return _allowed_among(f, L, two_colored_cycles_through(cg.graph, f, e, table))
+    return tuple(c for c in two_colored_cycles_through(cg.graph, f, e, table)
+                 if _swap_allowed(L, c))
 
 
-def _allowed_among(f: EdgeColoring, L: ListAssignment, cycles) -> tuple[FourCycle, ...]:
-    """The cycles, already enumerated under f, that ``allowed_cycles`` would keep."""
-    out = []
-    for cyc in cycles:
-        blocks_a, blocks_b = swap_blockers(L, cyc)
-        if f[cyc.e_uv] not in blocks_a and f[cyc.e_vz] not in blocks_b:
-            out.append(cyc)
-    return tuple(out)
+def _candidates(cg: ColoredGraph, f: EdgeColoring, L: ListAssignment, conflicts):
+    """(e, cycles through e, those ``_swap_allowed`` keeps sorted by (z, t)) for
+    each of the conflict edges of f in ascending order; lazy, so a search that
+    stops at one edge enumerates no later edge's cycles."""
+    g = cg.graph
+    table = color_table(g, f)
+    for e in sorted(conflicts):
+        cycles = two_colored_cycles_through(g, f, e, table)
+        yield e, cycles, sorted((c for c in cycles if _swap_allowed(L, c)),
+                                key=lambda c: (c.z, c.t))
 
 
 @dataclass(frozen=True)
@@ -365,8 +367,12 @@ class SwapPlan:
     """Edge-disjoint cycles chosen for the conflict edges, in processing order."""
 
     cycles: tuple[FourCycle, ...]
-    used: frozenset[int]
-    records: tuple[SelectionRecord, ...]
+    records: tuple[SelectionRecord, ...] = ()
+
+    @property
+    def used(self) -> frozenset[int]:
+        """The edges the cycles cover."""
+        return frozenset(e for c in self.cycles for e in c.edge_ids)
 
 
 def construct_swap_plan(cg: ColoredGraph, hprime: EdgeColoring, L: ListAssignment,
@@ -384,20 +390,17 @@ def construct_swap_plan(cg: ColoredGraph, hprime: EdgeColoring, L: ListAssignmen
         raise ValueError("epsilon must be positive for overload filtering")
     g, h = cg.graph, cg.coloring
     es = math.ceil(params.epsilon_s)  # a count reaches epsilon*s exactly when it reaches es
-    conflicts = sorted(conflict_edges(g, hprime, L))
+    conflicts = conflict_edges(g, hprime, L)
     # edge sets are bitmasks over edge indices; incident[w] holds the edges at w
     conflict_mask = sum(1 << f for f in conflicts)
     incident = g.edge_balls(0)
     class_mask = cg.class_masks()
-    table = color_table(g, hprime)
     used = 0
     cycles: list[FourCycle] = []
     records: list[SelectionRecord] = []
-    for e in conflicts:
+    for e, all_cycles, allowed in _candidates(cg, hprime, L, conflicts):
         used_w4 = used & g.nbhd_mask(e, 4)
         blocked = conflict_mask | used
-        all_cycles = two_colored_cycles_through(g, hprime, e, table)
-        allowed = _allowed_among(hprime, L, all_cycles)
         elim_over = 0
         elim_conf_used = 0
         survivors: list[FourCycle] = []
@@ -420,7 +423,7 @@ def construct_swap_plan(cg: ColoredGraph, hprime: EdgeColoring, L: ListAssignmen
                 "overloaded": elim_over,
                 "conflict_or_used": elim_conf_used,
             })
-        chosen = min(survivors, key=lambda c: (c.z, c.t))
+        chosen = survivors[0]
         cycles.append(chosen)
         records.append(SelectionRecord(e, len(all_cycles), len(allowed),
                                        elim_over, elim_conf_used, len(survivors)))
@@ -429,8 +432,7 @@ def construct_swap_plan(cg: ColoredGraph, hprime: EdgeColoring, L: ListAssignmen
     remaining = conflict_edges(g, result, L)
     if remaining:
         raise SwapPlanStuck(min(remaining), {"post_swap_conflicts": len(remaining)})
-    return result, SwapPlan(tuple(cycles), frozenset(f for c in cycles for f in c.edge_ids),
-                            tuple(records))
+    return result, SwapPlan(tuple(cycles), tuple(records))
 
 
 @dataclass(frozen=True)
@@ -516,10 +518,8 @@ def _disjoint_cycle_system(cg: ColoredGraph, f: EdgeColoring,
     Backtracks over each conflict's allowed cycles in (z, t) order, conflicts
     in ascending edge order.
     """
-    g = cg.graph
-    table = color_table(g, f)
-    options = [sorted(allowed_cycles(cg, f, L, e, table), key=lambda c: (c.z, c.t))
-               for e in sorted(conflict_edges(g, f, L))]
+    options = [allowed for _, _, allowed in
+               _candidates(cg, f, L, conflict_edges(cg.graph, f, L))]
     chosen: list[FourCycle] = []
 
     def extend(i: int, used: int) -> bool:
@@ -575,5 +575,5 @@ def solve_distance2(cg: ColoredGraph, L: ListAssignment) -> SolveResult:
             "swap-search", "no edge-disjoint system of allowed cycles found",
             trials=exc.trials))
     hprime, chosen = found[0]
-    plan = SwapPlan(tuple(chosen), frozenset(e for c in chosen for e in c.edge_ids), ())
+    plan = SwapPlan(tuple(chosen))
     return _verified(cg, L, apply_swaps(hprime, chosen), rho, plan, trials)

@@ -115,6 +115,30 @@ def test_solve_failure_writes_report_and_exits_1(tmp_path, capsys):
     assert "solution" not in data
 
 
+def test_calls_that_change_the_answer_drop_its_stale_blocks(tmp_path, capsys):
+    solved, failed, witness = (str(tmp_path / f"{x}.json") for x in ("a", "b", "c"))
+
+    def blocks(path):
+        return {"solution", "plan", "report"} & json.loads(open(path).read()).keys()
+
+    run(capsys, "construct", "--family", "hypercube", "--d", "4", "--out", solved)
+    run(capsys, "gen-lists", solved, "--distance2")
+    assert run(capsys, "solve", solved)[0] == 0
+    assert blocks(solved) == {"solution", "plan", "report"}
+    # a failed solve keeps only its failure report
+    code, _, _ = run(capsys, "solve", solved, "--mode", "theorem1", "--trials", "1",
+                     "--out", failed)
+    assert code == 1 and blocks(failed) == {"report"}
+    # the oracle's witness is a solution with no solver plan or report
+    assert run(capsys, "oracle", solved, "--out", witness)[0] == 0
+    assert blocks(witness) == {"solution"}
+    # new lists leave nothing that answered the old ones
+    run(capsys, "gen-lists", solved, "--beta", "1/2")
+    assert blocks(solved) == set()
+    code, _, err = run(capsys, "verify", solved)
+    assert code == 2 and "solution" in err
+
+
 def test_verify_names_the_conflict(tmp_path, capsys):
     f = str(tmp_path / "q3.json")
     run(capsys, "construct", "--family", "hypercube", "--d", "3", "--out", f)

@@ -30,9 +30,40 @@ def unread_imports(tree: ast.Module) -> set[str]:
     return imported - read
 
 
+def private_definitions(tree: ast.Module) -> set[str]:
+    """The module-level names a module defines with one leading underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """The names a module reads, bare or as an attribute of something else."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_module_is_checked():
     assert len(MODULES) >= 9
     assert unread_imports(ast.parse("import os\nfrom x import a as b\nb()\n")) == {"os"}
+    sample = ast.parse("_a = 1\n_b: int = 2\n_c, d = 3, 4\ndef _f(): _g.h\nclass _K: _m = 5\n"
+                       "__all__ = []\nx = 1\n")
+    assert private_definitions(sample) == {"_a", "_b", "_c", "_f", "_K"}
+    assert read_names(sample) == {"int", "_g", "h"}
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    # a helper left behind by a refactor keeps a dead definition
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    read = set().union(*map(read_names, trees.values()))
+    unread = {f"{stem}.{name}" for stem, tree in trees.items()
+              for name in private_definitions(tree) - read}
+    assert unread == set()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

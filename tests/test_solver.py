@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsgraph as dg
-from tests.conftest import are_edge_disjoint, vertex_used_counts
+from tests.conftest import are_edge_disjoint, random_lists, vertex_used_counts
 
 ARTIFACTS = Path(__file__).resolve().parent / "artifacts" / "distance2_exhaustion"
 
@@ -275,31 +275,42 @@ def test_verify_solution_cases(q3):
 
 @pytest.mark.parametrize("name", ["q3", "q4", "k44", "q2xk44"])
 def test_condition_c_counts_match_allowed_cycles(name):
-    # the checker's precomputed swap_blockers entries and allowed_cycles against
+    # the checker's precomputed blocker masks and allowed_cycles against
     # swapping each cycle and looking up its four edges; tau = 0 makes every
-    # disallowed cycle a witness
+    # disallowed cycle a witness. generate_sparse at beta = 1/s gives mostly
+    # single colors, the random lists up to two per edge.
     cg = {"q3": lambda: dg.hypercube(3), "q4": lambda: dg.hypercube(4),
           "k44": lambda: dg.complete_bipartite_pow2(2),
           "q2xk44": lambda: dg.cartesian_product(dg.hypercube(2),
                                                  dg.complete_bipartite_pow2(2))}[name]()
     g, s = cg.graph, cg.s_measured
-    L = dg.generate_sparse(cg, Fraction(1, s), seed=3)
-    assert L.total_entries() > 0
     p = dg.SolverParams(cg.d, s, Fraction(1, 2), Fraction(0), Fraction(1, 2))
-    rng = random.Random(name)
-    for _ in range(6):
-        images = list(range(1, cg.d + 1))
-        rng.shuffle(images)
-        rho = dg.Permutation(tuple(images))
-        f = dg.apply_permutation(cg.coloring, rho)
-        counts = dict(dg.check_permutation(cg, L, rho, p).witnesses_c)
-        table = dg.color_table(g, f)
-        for e in range(g.m):
-            cycles = dg.two_colored_cycles_through(g, f, e, table)
-            clean = tuple(c for c in cycles
-                          if all(dg.swap_cycle(f, c)[x] not in L.get(x) for x in c.edge_ids))
-            assert dg.allowed_cycles(cg, f, L, e, table) == clean, (name, rho, e)
-            assert counts.get(e, 0) == len(cycles) - len(clean), (name, rho, e)
+    for L in (dg.generate_sparse(cg, Fraction(1, s), seed=3), random_lists(g, cg.d, 3, 2)):
+        assert L.total_entries() > 0
+        sole_blockers = set()
+        rng = random.Random(name)
+        for _ in range(6):
+            images = list(range(1, cg.d + 1))
+            rng.shuffle(images)
+            rho = dg.Permutation(tuple(images))
+            f = dg.apply_permutation(cg.coloring, rho)
+            counts = dict(dg.check_permutation(cg, L, rho, p).witnesses_c)
+            table = dg.color_table(g, f)
+            for e in range(g.m):
+                cycles = dg.two_colored_cycles_through(g, f, e, table)
+                clean = []
+                for c in cycles:
+                    swapped = dg.swap_cycle(f, c)
+                    blocking = [role for role, x in zip(("uv", "vz", "zt", "tu"), c.edge_ids)
+                                if swapped[x] in L.get(x)]
+                    if len(blocking) == 1:
+                        sole_blockers.add(blocking[0])
+                    if not blocking:
+                        clean.append(c)
+                assert dg.allowed_cycles(cg, f, L, e, table) == tuple(clean), (name, rho, e)
+                assert counts.get(e, 0) == len(cycles) - len(clean), (name, rho, e)
+        # each of the swap rule's four list lookups alone decides some cycle
+        assert sole_blockers == {"uv", "vz", "zt", "tu"}
 
 
 @settings(deadline=None, max_examples=20)

@@ -20,10 +20,10 @@ from .errors import (CertificationFailed, ClaimDiscrepancyWarning, ColorOutOfRan
                      NotTwoColored, OracleBudgetExceeded, PermutationBudgetExceeded,
                      PermutationNotFound, PermutationSearchFailed, PreconditionViolated,
                      ResourceLimit, SwapPlanStuck)
-from .graph_core import (EdgeColoring, FourCycle, Graph, UNREACHABLE, apply_swaps,
-                         color_table, compute_s, edge_distance, is_distance_t_matching,
-                         is_proper, properness_witness, standard_matchings, swap_cycle,
-                         t_neighborhood, two_colored_cycles_through)
+from .graph_core import (EdgeColoring, FourCycle, Graph, apply_swaps, color_table, compute_s,
+                         is_distance_t_matching, is_proper, properness_witness,
+                         standard_matchings, swap_cycle, t_neighborhood,
+                         two_colored_cycles_through)
 from .instance_io import (Instance, from_colored_graph, load_instance, save_instance,
                           to_colored_graph)
 from .list_assignments import (EMPTY, ListAssignment, SparsityReport, Violation,

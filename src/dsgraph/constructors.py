@@ -15,7 +15,9 @@ test suite).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -27,6 +29,8 @@ from .graph_core import (EdgeColoring, Graph, _cycle_tuples, color_table, comput
 HYPERCUBE_DIM_CAP = 16
 BIPARTITE_T_CAP = 7
 CAYLEY_ORDER_CAP = 4096
+# the edges of Q16, the largest hypercube: Q8 x Q8 sits exactly at the cap
+_PRODUCT_EDGE_CAP = HYPERCUBE_DIM_CAP << (HYPERCUBE_DIM_CAP - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,10 +201,14 @@ def cartesian_product(cg1: ColoredGraph, cg2: ColoredGraph) -> ColoredGraph:
     """Cartesian product; the second factor's colors shift up by d1.
 
     d = d1 + d2 and the certified claim is s = min(d1 + s2, d2 + s1), taking
-    each factor's measured s.
+    each factor's measured s. A product with more edges than Q16 raises
+    ResourceLimit before any edge is listed.
     """
     g1, g2 = cg1.graph, cg2.graph
     n2 = g2.n
+    m = g1.m * n2 + g2.m * g1.n
+    if m > _PRODUCT_EDGE_CAP:
+        raise ResourceLimit(f"cartesian product has {m} edges, above cap {_PRODUCT_EDGE_CAP}")
     items = []
     for e, (a1, a2) in enumerate(g1.edges):
         c = cg1.coloring[e]
@@ -220,17 +228,18 @@ def cartesian_product(cg1: ColoredGraph, cg2: ColoredGraph) -> ColoredGraph:
 # --- finite groups -----------------------------------------------------------
 
 class CyclicProduct:
-    """Direct product of cyclic groups Z_m1 x ... x Z_mk, elements as tuples."""
+    """Direct product of cyclic groups Z_m1 x ... x Z_mk, elements as tuples;
+    they are listed on first use, so a size cap can refuse a large group first."""
 
     def __init__(self, orders: tuple[int, ...]):
         if not orders or any(m < 1 for m in orders):
             raise ValueError("orders must be positive")
         self.orders = tuple(orders)
-        self.elements = tuple(itertools.product(*(range(m) for m in orders)))
+        self.identity = (0,) * len(self.orders)
 
-    @property
-    def identity(self):
-        return tuple(0 for _ in self.orders)
+    @functools.cached_property
+    def elements(self) -> tuple:
+        return tuple(itertools.product(*(range(m) for m in self.orders)))
 
     def mul(self, a, b):
         return tuple((x + y) % m for x, y, m in zip(a, b, self.orders))
@@ -239,7 +248,7 @@ class CyclicProduct:
         return tuple((-x) % m for x, m in zip(a, self.orders))
 
     def __len__(self):
-        return len(self.elements)
+        return math.prod(self.orders)
 
 
 class MulTable:
@@ -260,29 +269,18 @@ class MulTable:
         for j in range(m):
             if {row[j] for row in table} != allv:
                 raise ValueError("each column must be a permutation of 0..m-1")
-        ident = None
-        for e in range(m):
-            if all(table[e][x] == x and table[x][e] == x for x in range(m)):
-                ident = e
-                break
-        if ident is None:
-            raise ValueError("table has no identity element")
         self.table = tuple(tuple(row) for row in table)
         self.elements = tuple(range(m))
-        self._identity = ident
-        inv = [None] * m
-        for a in range(m):
-            for b in range(m):
-                if table[a][b] == ident and table[b][a] == ident:
-                    inv[a] = b
-                    break
-        if any(i is None for i in inv):
+        # each row is a permutation, so 0 * x = 0 names the only candidate
+        # identity x, and a * b = e the only candidate inverse b of a
+        ident = self.table[0].index(0) if m else None
+        if ident is None or any(self.table[ident][x] != x or self.table[x][ident] != x
+                                for x in self.elements):
+            raise ValueError("table has no identity element")
+        self.identity = ident
+        self._inv = tuple(row.index(ident) for row in self.table)
+        if any(self.table[b][a] != ident for a, b in enumerate(self._inv)):
             raise ValueError("some element has no two-sided inverse")
-        self._inv = tuple(inv)
-
-    @property
-    def identity(self):
-        return self._identity
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -294,16 +292,21 @@ class MulTable:
         return len(self.elements)
 
 
-def element_order(group, a) -> int:
+def _powers(group, a) -> list:
+    """a^0, a^1, ..., a^(r-1), where r is the order of a."""
     e = group.identity
+    powers = [e]
     x = a
-    k = 1
     while x != e:
-        x = group.mul(x, a)
-        k += 1
-        if k > len(group):
+        powers.append(x)
+        if len(powers) > len(group):
             raise InvalidCayleySpec("element order exceeds group order (not a group?)")
-    return k
+        x = group.mul(x, a)
+    return powers
+
+
+def element_order(group, a) -> int:
+    return len(_powers(group, a))
 
 
 @dataclass(frozen=True)
@@ -324,8 +327,9 @@ class CayleySpec:
 def _check_connection_set(group, S: tuple, set_name: str, member: str) -> None:
     """The checks both Cayley forms share: group size, then S nonempty,
     without repeats and without the identity."""
-    if len(group) > CAYLEY_ORDER_CAP:
-        raise ResourceLimit(f"group order {len(group)} above cap {CAYLEY_ORDER_CAP}")
+    order = group.__len__()  # len() raises OverflowError past sys.maxsize
+    if order > CAYLEY_ORDER_CAP:
+        raise ResourceLimit(f"group order {order} above cap {CAYLEY_ORDER_CAP}")
     if not S:
         raise InvalidCayleySpec(f"empty {set_name}")
     if len(set(S)) != len(S):
@@ -389,6 +393,11 @@ def cayley_abelian(spec: CayleySpec) -> ColoredGraph:
     colored s_i when x_i is even at u and s_i^{-1} when odd; the full
     connection set is the half set united with its inverses, d = |S|.
 
+    Only the half-set members are checked to commute with every element:
+    the factorization check shows that they generate the group, and a group
+    generated by central elements is abelian. Each check then costs one pass
+    over the group per member.
+
     The construction's claim is s = d. The claim is recorded but certification
     uses the measured census; a shortfall raises ClaimDiscrepancyWarning, not
     an error.
@@ -396,46 +405,34 @@ def cayley_abelian(spec: CayleySpec) -> ColoredGraph:
     group = spec.group
     Sk = tuple(spec.half_set)
     _check_connection_set(group, Sk, "half set", "half-set generator")
-    e = group.identity
-    for a in group.elements:
-        for b in group.elements:
-            if group.mul(a, b) != group.mul(b, a):
-                raise InvalidCayleySpec("group is not abelian")
-    orders = []
     for s in Sk:
-        r = element_order(group, s)
-        if r % 2:
-            raise InvalidCayleySpec(f"generator {s!r} has odd order {r}")
-        orders.append(r)
-    for i, si in enumerate(Sk):
-        for j, sj in enumerate(Sk):
-            if i < j and group.inv(si) == sj:
-                raise InvalidCayleySpec(f"generators {si!r} and {sj!r} are mutual inverses")
-    total = 1
-    for r in orders:
-        total *= r
+        for g in group.elements:
+            if group.mul(s, g) != group.mul(g, s):
+                raise InvalidCayleySpec("group is not abelian")
+    powers = []
+    for s in Sk:
+        pw = _powers(group, s)
+        if len(pw) % 2:
+            raise InvalidCayleySpec(f"generator {s!r} has odd order {len(pw)}")
+        powers.append(pw)
+    for si, sj in itertools.combinations(Sk, 2):
+        if group.inv(si) == sj:
+            raise InvalidCayleySpec(f"generators {si!r} and {sj!r} are mutual inverses")
+    total = math.prod(map(len, powers))
     if total != len(group):
         raise InvalidCayleySpec(
             f"power sequences do not factor the group uniquely "
             f"(product of orders {total} != group order {len(group)})")
     factor_of: dict = {}
-    for xs in itertools.product(*(range(r) for r in orders)):
-        g = e
-        for s, x in zip(Sk, xs):
-            p = e
-            for _ in range(x):
-                p = group.mul(p, s)
-            g = group.mul(g, p)
+    for xs in itertools.product(*(range(len(pw)) for pw in powers)):
+        g = group.identity
+        for pw, x in zip(powers, xs):
+            g = group.mul(g, pw[x])
         if g in factor_of:
             raise InvalidCayleySpec("power sequences do not factor the group uniquely")
         factor_of[g] = xs
-    tokens: list = []
-    for s in Sk:
-        tokens.append(s)
-        si = group.inv(s)
-        if si != s:
-            tokens.append(si)
-    color_of = {tok: i + 1 for i, tok in enumerate(tokens)}
+    tokens = dict.fromkeys(t for s in Sk for t in (s, group.inv(s)))  # s = s^-1 once
+    color_of = {tok: c for c, tok in enumerate(tokens, 1)}
     # per half-set member, its color at an even and at an odd exponent
     parity_colors = [(color_of[s], color_of[group.inv(s)]) for s in Sk]
     items = _cayley_items(group, Sk, lambda g, i: parity_colors[i][factor_of[g][i] % 2],

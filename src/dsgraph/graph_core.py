@@ -337,18 +337,6 @@ def add_count(levels: list[int], mask: int) -> None:
     levels[0] |= mask
 
 
-def edge_distance(g: Graph, e: int, f: int) -> float:
-    """Fewest edges on a shortest path between an endpoint of e and one of f.
-
-    0 for identical or adjacent edges; UNREACHABLE when no path connects them.
-    """
-    if not (0 <= e < g.m and 0 <= f < g.m):
-        raise ValueError("edge index out of range")
-    dist = g.vertex_distances_from_edge(e)
-    a, b = g.edges[f]
-    return min(dist[a], dist[b])
-
-
 def t_neighborhood(g: Graph, e: int, t: int) -> frozenset[int]:
     """Edge indices at distance <= t from e, e included: the bits of W_t(e)."""
     if not 0 <= e < g.m:

@@ -42,6 +42,18 @@ def random_lists(g, d, seed, max_size):
     return dg.ListAssignment.from_dict(raw)
 
 
+def edge_distance(g, e, f):
+    """Fewest edges on a shortest path between an endpoint of e and one of f.
+
+    0 for identical or adjacent edges; math.inf when no path connects them.
+    """
+    if not (0 <= e < g.m and 0 <= f < g.m):
+        raise ValueError("edge index out of range")
+    dist = g.vertex_distances_from_edge(e)
+    a, b = g.edges[f]
+    return min(dist[a], dist[b])
+
+
 def edge_set(cycle):
     return frozenset(cycle.edge_ids)
 

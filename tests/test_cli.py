@@ -56,7 +56,7 @@ def test_construct_removed_and_cayley(tmp_path, capsys):
     assert code == 0 and "s_measured=3" in out
 
 
-def test_construct_product_from_files(tmp_path, capsys):
+def test_construct_product_from_files(tmp_path, capsys, monkeypatch):
     a, b, p = (str(tmp_path / x) for x in ("a.json", "b.json", "p.json"))
     run(capsys, "construct", "--family", "hypercube", "--d", "2", "--out", a)
     run(capsys, "construct", "--family", "hypercube", "--d", "3", "--out", b)
@@ -64,6 +64,11 @@ def test_construct_product_from_files(tmp_path, capsys):
                        "--left", a, "--right", b, "--out", p)
     assert code == 0
     assert "n=32" in out and "s_measured=5" in out
+    # the product of C4 and Q3 has 80 edges
+    monkeypatch.setattr(dg.constructors, "_PRODUCT_EDGE_CAP", 79)
+    code, _, err = run(capsys, "construct", "--family", "cartesian_product",
+                       "--left", a, "--right", b, "--out", p)
+    assert code == 2 and "80 edges, above cap 79" in err
 
 
 def test_full_distance2_pipeline(tmp_path, capsys):
@@ -113,6 +118,20 @@ def test_solve_failure_writes_report_and_exits_1(tmp_path, capsys):
     data = json.loads(open(f).read())
     assert data["report"]["phase"] == "permutation"
     assert "solution" not in data
+
+
+def test_solve_theorem2_failure_writes_its_report(tmp_path, capsys, monkeypatch):
+    f = str(tmp_path / "q3.json")
+    run(capsys, "construct", "--family", "hypercube", "--d", "3", "--out", f)
+    run(capsys, "gen-lists", f, "--distance2", "--max-list", "2", "--seed", "8")
+    monkeypatch.setattr(dg.solver, "_disjoint_cycle_system", lambda cg, f, L: None)
+    code, _, err = run(capsys, "solve", f, "--mode", "theorem2")
+    assert code == 1 and "swap-search" in err
+    data = json.loads(open(f).read())
+    assert data["report"] == {"mode": "theorem2", "phase": "swap-search",
+                              "message": "no edge-disjoint system of allowed cycles found",
+                              "trials": 200}
+    assert "solution" not in data and "plan" not in data
 
 
 def test_calls_that_change_the_answer_drop_its_stale_blocks(tmp_path, capsys):

@@ -2,11 +2,13 @@
 
 import dataclasses
 import random
+import tracemalloc
 import warnings
 
 import pytest
 
 import dsgraph as dg
+from dsgraph import constructors, graph_core
 from dsgraph.constructors import (BIPARTITE_T_CAP, CAYLEY_ORDER_CAP,
                                   HYPERCUBE_DIM_CAP)
 from dsgraph.graph_core import _cycle_tuples
@@ -48,6 +50,66 @@ def test_resource_caps():
     assert len(big) == 8192 > CAYLEY_ORDER_CAP
     with pytest.raises(dg.ResourceLimit):
         dg.cayley_abelian(dg.CayleySpec(big, half_set=((1,) + (0,) * 12,)))
+
+
+def over_cap_call(case, monkeypatch):
+    """A call that a size cap refuses. Where the real over-cap input is
+    itself costly to build, the cap is lowered instead; each input is big
+    enough that building it before the check would pass 1 MB."""
+    if case == "hypercube":
+        return lambda: dg.hypercube(HYPERCUBE_DIM_CAP + 1)
+    if case == "complete_bipartite_pow2":
+        return lambda: dg.complete_bipartite_pow2(BIPARTITE_T_CAP + 1)
+    if case == "cayley_order":
+        # Z_2^14 is 16,384 tuples, about 3 MB, if listed before the cap is read
+        return lambda: dg.cayley_abelian(dg.CayleySpec(dg.CyclicProduct((2,) * 14),
+                                                       half_set=((1,) + (0,) * 13,)))
+    if case == "cartesian_product":
+        q6 = dg.hypercube(6)  # Q6 x Q6 has 2 * 192 * 64 edges
+        monkeypatch.setattr(constructors, "_PRODUCT_EDGE_CAP", 2 * 192 * 64 - 1)
+        return lambda: dg.cartesian_product(q6, q6)
+    g = dg.hypercube(11).graph
+    if case == "edge_balls":
+        monkeypatch.setattr(graph_core, "EDGE_BALL_BYTES_CAP", g.n * g.m // 8 - 1)
+        return lambda: g.edge_balls(1)
+    assert case == "oracle_frames"
+    monkeypatch.setattr(graph_core, "EDGE_BALL_BYTES_CAP", 1 << 20)
+    return lambda: dg.oracle_avoidable(g, 11, dg.EMPTY)
+
+
+@pytest.mark.parametrize("case", ["hypercube", "complete_bipartite_pow2", "cayley_order",
+                                  "cartesian_product", "edge_balls", "oracle_frames"])
+def test_size_caps_refuse_before_they_allocate(case, monkeypatch):
+    call = over_cap_call(case, monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(dg.ResourceLimit):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_cayley_order_cap_refuses_an_order_past_sys_maxsize():
+    # the elements are listed on first use, so the huge group below is never built
+    assert "elements" not in vars(dg.CyclicProduct((2,)))
+    huge = dg.CyclicProduct((2,) * 64)
+    with pytest.raises(dg.ResourceLimit) as info:
+        dg.cayley_involutions(dg.CayleySpec(huge, generators=((1,) + (0,) * 63,)))
+    assert str(info.value) == f"group order {2 ** 64} above cap {CAYLEY_ORDER_CAP}"
+
+
+def test_cartesian_product_cap_counts_the_product_edges(q3, monkeypatch):
+    # Q8 x Q8 has 2 * 1024 * 256 edges, as many as Q16, the largest hypercube
+    assert constructors._PRODUCT_EDGE_CAP == 16 * 2 ** 15 == 2 * 1024 * 256
+    c4 = dg.hypercube(2)
+    monkeypatch.setattr(constructors, "_PRODUCT_EDGE_CAP", 80)
+    assert dg.cartesian_product(c4, q3).graph.m == 80
+    monkeypatch.setattr(constructors, "_PRODUCT_EDGE_CAP", 79)
+    with pytest.raises(dg.ResourceLimit) as info:
+        dg.cartesian_product(c4, q3)
+    assert str(info.value) == "cartesian product has 80 edges, above cap 79"
 
 
 def test_remove_standard_matchings(k44, k88):
@@ -191,6 +253,63 @@ def test_cayley_abelian_rejects_bad_specs():
         dg.cayley_abelian(dg.CayleySpec(z22, half_set=((1, 0),)))
     with pytest.raises(dg.InvalidCayleySpec, match="empty"):
         dg.cayley_abelian(dg.CayleySpec(z6, half_set=()))
+
+
+class CountingProduct(dg.CyclicProduct):
+    calls = 0
+
+    def mul(self, a, b):
+        self.calls += 1
+        return super().mul(a, b)
+
+
+def unit_vectors(k):
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+
+
+@pytest.mark.parametrize("orders,half_set", [((1024,), ((1,),)),
+                                             ((4,) + (2,) * 8, unit_vectors(9))])
+def test_cayley_abelian_multiplies_linearly_often(orders, half_set):
+    group = CountingProduct(orders)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dg.ClaimDiscrepancyWarning)
+        cg = dg.cayley_abelian(dg.CayleySpec(group, half_set=half_set))
+    assert cg.graph.n == len(group) == 1024
+    assert group.calls <= 4 * len(group) * (len(half_set) + 1)
+
+
+def dihedral_d4():
+    """D4 as r^i s^j -> i + 4j, with s r = r^-1 s."""
+    def mul(a, b):  # r^i s^j r^k s^l = r^(i -+ k) s^(j + l)
+        (j, i), (l, k) = divmod(a, 4), divmod(b, 4)
+        return (i + (-k if j else k)) % 4 + 4 * ((j + l) % 2)
+    return dg.MulTable([[mul(a, b) for b in range(8)] for a in range(8)])
+
+
+@pytest.mark.parametrize("half_set", [(1, 4), (4, 1), (1,), (2, 4), (5, 4), (1, 5)],
+                         ids=["r,s", "s,r", "r", "r2,s", "rs,s", "r,rs"])
+def test_cayley_abelian_refuses_a_non_abelian_group(half_set):
+    with pytest.raises(dg.InvalidCayleySpec) as info:
+        dg.cayley_abelian(dg.CayleySpec(dihedral_d4(), half_set=half_set))
+    assert str(info.value) == "group is not abelian"
+
+
+def test_cayley_abelian_half_set_in_the_centre_cannot_factor_the_group():
+    # r^2 commutes with every element of D4, so the abelian check passes and
+    # the factorization check refuses: central elements generate no more
+    # than an abelian subgroup
+    with pytest.raises(dg.InvalidCayleySpec) as info:
+        dg.cayley_abelian(dg.CayleySpec(dihedral_d4(), half_set=(2,)))
+    assert str(info.value) == ("power sequences do not factor the group uniquely "
+                               "(product of orders 2 != group order 8)")
+
+
+def test_cayley_abelian_refuses_a_repeated_product():
+    # orders 4 * 2 match |Z4 x Z2|, but (1,0)^2 = (2,0) is reached twice
+    spec = dg.CayleySpec(dg.CyclicProduct((4, 2)), half_set=((1, 0), (2, 0)))
+    with pytest.raises(dg.InvalidCayleySpec) as info:
+        dg.cayley_abelian(spec)
+    assert str(info.value) == "power sequences do not factor the group uniquely"
 
 
 def test_mul_table_wraps_explicit_group():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import dsgraph as dg
 from dsgraph import graph_core
 from dsgraph.graph_core import Graph
-from tests.conftest import (are_edge_disjoint, are_vertex_disjoint, edge_set,
+from tests.conftest import (are_edge_disjoint, are_vertex_disjoint, edge_distance, edge_set,
                             vertex_color_set)
 from tests.test_cycle_census import (LABELS, LOOP_GRAPH, graph_and_coloring, recolor,
                                      ref_color_table, ref_compute_s, ref_cycles_through)
@@ -47,8 +47,8 @@ def test_edge_distance_adjacent_is_zero(q3):
     g = q3.graph
     e = g.edges.index((0, 1))
     f = g.edges.index((0, 2))
-    assert dg.edge_distance(g, e, f) == 0
-    assert dg.edge_distance(g, e, e) == 0
+    assert edge_distance(g, e, f) == 0
+    assert edge_distance(g, e, e) == 0
 
 
 def test_edge_distance_q3_antipodal_pair_is_two(q3):
@@ -56,13 +56,13 @@ def test_edge_distance_q3_antipodal_pair_is_two(q3):
     g = q3.graph
     e = g.edges.index((0, 4))
     f = g.edges.index((3, 7))
-    assert dg.edge_distance(g, e, f) == 2
-    assert dg.edge_distance(g, f, e) == 2
+    assert edge_distance(g, e, f) == 2
+    assert edge_distance(g, f, e) == 2
 
 
 def test_edge_distance_disconnected_is_infinite():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert dg.edge_distance(g, 0, 1) == float("inf")
+    assert edge_distance(g, 0, 1) == float("inf")
 
 
 def test_t_neighborhood_sizes_on_cycle():
@@ -257,7 +257,7 @@ def test_is_distance_t_matching(q3):
        st.integers(min_value=1, max_value=4))
 def test_distance_matching_agrees_with_pairwise_scan(edge_set, t):
     g = dg.hypercube(4).graph
-    brute = all(dg.edge_distance(g, e, f) >= t
+    brute = all(edge_distance(g, e, f) >= t
                 for e, f in itertools.combinations(edge_set, 2))
     assert dg.is_distance_t_matching(g, edge_set, t) == brute
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import dsgraph as dg
 from dsgraph.constructors import ColoredGraph
 from dsgraph.graph_core import Graph, add_count
-from tests.conftest import random_lists
+from tests.conftest import edge_distance, random_lists
 
 
 def _two_disjoint_4_cycles():
@@ -139,7 +139,7 @@ def test_t_neighborhood_matches_bfs_reference(label, radii):
         for e in range(g.m):
             assert dg.t_neighborhood(g, e, t) == reference_ball(ref, e, t)
     e = radii[0] % g.m
-    assert [dg.edge_distance(g, e, f) for f in range(g.m)] == ref[e]
+    assert [edge_distance(g, e, f) for f in range(g.m)] == ref[e]
 
 
 @settings(deadline=None, max_examples=40)

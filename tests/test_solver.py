@@ -240,6 +240,17 @@ def test_solve_distance2_reports_exhaustion(q3):
     assert dg.oracle_avoidable(q3.graph, q3.d, L).avoidable
 
 
+def test_solve_distance2_reports_a_failed_swap_search(q3, monkeypatch):
+    # with no edge-disjoint system on any trial, all 200 trials are spent
+    monkeypatch.setattr(dg.solver, "_disjoint_cycle_system", lambda cg, f, L: None)
+    res = dg.solve_distance2(q3, dg.generate_distance2(q3, 8, 2))
+    assert not res.ok
+    assert res.coloring is None and res.permutation is None and res.plan is None
+    assert res.trials_used == 200
+    assert res.failure == dg.FailureReport(
+        "swap-search", "no edge-disjoint system of allowed cycles found", trials=200)
+
+
 def test_solve_distance2_solves_archived_exhaustion_inputs():
     # the inputs the identity-only search gave up on, each stored with an
     # oracle witness as its solution; read, never written

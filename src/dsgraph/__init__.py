@@ -7,7 +7,6 @@ no edge wears a forbidden color. Exact backtracking oracles and
 arbitrary-precision threshold checks audit the fast path.
 """
 
-from . import bounds
 from .bounds import (BoundReport, beta_threshold, fixed_ratio_constants, list_length_feasible,
                      permutation_union_bound, swap_choice_margin)
 from .constructors import (CayleySpec, ColoredGraph, CyclicProduct, MulTable,
@@ -38,9 +37,3 @@ from .solver import (Exhaustive, FailureReport, Permutation, PermutationCheck,
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name: str):
-    """Re-export bounds.EULER_E, which loads mpmath, only when it is read."""
-    if name == "EULER_E":
-        return bounds.EULER_E
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,14 +19,6 @@ from .errors import DegenerateTau, HypothesisViolated
 PRECISION_BITS = 256
 
 
-def __getattr__(name: str):
-    """Serve EULER_E, Euler's number (mpmath's mp.e), without importing mpmath early."""
-    if name == "EULER_E":
-        from mpmath import mp
-        return mp.e
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Verdict on one inequality plus the named sub-quantities behind it."""

@@ -20,15 +20,14 @@ from . import bounds as bounds_mod
 from .constructors import (CayleySpec, CyclicProduct, cartesian_product, cayley_abelian,
                            cayley_involutions, complete_bipartite_pow2, hypercube,
                            remove_standard_matchings)
-from .errors import DsgraphError, OracleBudgetExceeded
+from .errors import DsgraphError, OracleBudgetExceeded, PreconditionViolated
 from .graph_core import _cycle_tuples, color_table
 from .instance_io import (from_colored_graph, load_instance, save_instance,
                           to_colored_graph)
-from .list_assignments import (EMPTY, generate_distance2, generate_sparse,
-                               support_is_distance2_matching)
-from .oracle import oracle_avoidable
-from .solver import (Exhaustive, RandomSearch, SolverParams, default_params, find_violation,
-                     solve_distance2, solve_sparse)
+from .list_assignments import EMPTY, generate_distance2, generate_sparse
+from .oracle import DEFAULT_NODE_BUDGET, oracle_avoidable
+from .solver import (DEFAULT_TRIALS, Exhaustive, RandomSearch, SolverParams, default_params,
+                     find_violation, solve_distance2, solve_sparse)
 
 FAMILIES = ("hypercube", "complete_bipartite_pow2", "remove_standard_matchings",
             "cartesian_product", "cayley_involutions", "cayley_abelian")
@@ -170,15 +169,15 @@ def cmd_solve(args) -> int:
     inst = load_instance(args.file)
     cg = to_colored_graph(inst)
     lists = inst.lists if inst.lists is not None else EMPTY
-    mode = args.mode
-    if mode == "auto":
-        small = all(len(cs) <= cg.s_measured - 1 for _, cs in lists.items())
-        mode = "theorem2" if small and support_is_distance2_matching(cg, lists) \
-            else "theorem1"
-    if mode == "theorem2":
-        result = solve_distance2(cg, lists)
-        report = {"mode": "theorem2"}
-    else:
+    result = None  # auto: theorem2 when its preconditions hold, else theorem1
+    if args.mode != "theorem1":
+        try:
+            result = solve_distance2(cg, lists)
+            report = {"mode": "theorem2"}
+        except PreconditionViolated:
+            if args.mode == "theorem2":
+                raise
+    if result is None:
         strategy = Exhaustive() if args.exhaustive \
             else RandomSearch(trials=args.trials, seed=args.seed)
         result = solve_sparse(cg, lists, _solver_params(cg, args), strategy)
@@ -311,10 +310,9 @@ def cmd_sweep(args) -> int:
     _require(bool(grid), "--beta-grid must contain at least one value")
     _require(args.seeds >= 1, "--seeds must be >= 1")
     rows = []
-    tally: dict[Fraction, list[int]] = {b: [0, 0] for b in grid}
     for label, cg in families:
+        params = _solver_params(cg, args)
         for beta in grid:
-            params = dataclasses.replace(_solver_params(cg, args), beta=beta)
             for seed in range(args.seeds):
                 lists = generate_sparse(cg, beta, seed)
                 start = time.perf_counter()
@@ -324,8 +322,6 @@ def cmd_sweep(args) -> int:
                 phase1 = result.permutation is not None
                 phase2 = result.plan is not None
                 verified = result.ok
-                tally[beta][0] += 1 if verified else 0
-                tally[beta][1] += 1
                 rows.append({
                     "family": label, "n": cg.graph.n, "d": cg.d, "s": cg.s_measured,
                     "beta": _frac_str(beta), "gamma": _frac_str(params.gamma),
@@ -337,16 +333,13 @@ def cmd_sweep(args) -> int:
                     "trials_used": result.trials_used,
                     "wall_time_s": f"{wall:.6f}" if args.timing else "",
                 })
-    fieldnames = ["family", "n", "d", "s", "beta", "gamma", "tau", "epsilon", "seed",
-                  "phase1_success", "phase2_success", "verified", "trials_used",
-                  "wall_time_s"]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    for beta in grid:
-        good, total = tally[beta]
-        print(f"beta={_frac_str(beta)}: verified {good}/{total}")
+    for beta in map(_frac_str, grid):
+        verified = [row["verified"] for row in rows if row["beta"] == beta]
+        print(f"beta={beta}: verified {verified.count('true')}/{len(verified)}")
     print(f"{len(rows)} rows -> {args.out}")
     return 0
 
@@ -394,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_fraction)
     p.add_argument("--tau", type=_fraction)
     p.add_argument("--epsilon", type=_fraction)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true",
                    help="scan all d! color permutations instead of sampling")
@@ -407,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact avoidability decision by backtracking")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", help="save the witness coloring here when avoidable")
     p.set_defaults(func=cmd_oracle)
 
@@ -432,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_fraction)
     p.add_argument("--tau", type=_fraction)
     p.add_argument("--epsilon", type=_fraction)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--timing", action="store_true",
                    help="record wall time per row (breaks byte reproducibility)")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import (CertificationFailed, ClaimDiscrepancyWarning, InvalidCayleySpec,
                      InvalidK, ResourceLimit)
-from .graph_core import (EdgeColoring, Graph, _cycle_tuples, color_table, compute_s, is_proper,
+from .graph_core import (EdgeColoring, Graph, _cycle_tuples, color_table, compute_s,
                          properness_witness, standard_matchings)
 
 HYPERCUBE_DIM_CAP = 16
@@ -31,6 +31,22 @@ BIPARTITE_T_CAP = 7
 CAYLEY_ORDER_CAP = 4096
 # the edges of Q16, the largest hypercube: Q8 x Q8 sits exactly at the cap
 _PRODUCT_EDGE_CAP = HYPERCUBE_DIM_CAP << (HYPERCUBE_DIM_CAP - 1)
+# the vertices of Q16 and of Q8 x Q8, the most any constructor builds
+_VERTEX_CAP = 1 << HYPERCUBE_DIM_CAP
+# color-table slots n * (d + 1); a Cayley graph of order 4096 with d = 4095,
+# the widest constructor output, sits exactly at the cap
+_COLOR_TABLE_CAP = CAYLEY_ORDER_CAP * CAYLEY_ORDER_CAP
+
+
+def _check_size(n: int, d: int) -> None:
+    """Refuse more vertices than Q16, a degree no simple graph on n vertices
+    has, or a color table past its cap, before anything sized by them is built."""
+    if n > _VERTEX_CAP:
+        raise ResourceLimit(f"{n} vertices above cap {_VERTEX_CAP}")
+    if d > max(n - 1, 0):
+        raise ResourceLimit(f"degree {d} on {n} vertices: no simple graph has it")
+    if n * (d + 1) > _COLOR_TABLE_CAP:
+        raise ResourceLimit(f"{n * (d + 1)} color-table slots above cap {_COLOR_TABLE_CAP}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +114,11 @@ def _certify(graph: Graph, coloring: EdgeColoring, s_claimed: int | None,
     the public function.
     """
     name = family.get("name") or "instance"  # a loaded file may carry no family
-    if not is_proper(graph, coloring):
-        first, e, c, w = properness_witness(graph, coloring)
+    if len(coloring) != graph.m or not coloring.is_total:  # a hand-built Instance
+        raise CertificationFailed(f"{name}: coloring must color each of the {graph.m} edges")
+    witness = properness_witness(graph, coloring)
+    if witness is not None:
+        first, e, c, w = witness
         raise CertificationFailed(f"{name}: coloring is not proper: "
                                   f"edges {first} and {e} share color {c} at vertex {w}")
     s_measured = compute_s(graph, coloring)
@@ -201,14 +220,15 @@ def cartesian_product(cg1: ColoredGraph, cg2: ColoredGraph) -> ColoredGraph:
     """Cartesian product; the second factor's colors shift up by d1.
 
     d = d1 + d2 and the certified claim is s = min(d1 + s2, d2 + s1), taking
-    each factor's measured s. A product with more edges than Q16 raises
-    ResourceLimit before any edge is listed.
+    each factor's measured s. A product with more edges than Q16, or past the
+    caps of ``_check_size``, raises ResourceLimit before any edge is listed.
     """
     g1, g2 = cg1.graph, cg2.graph
     n2 = g2.n
     m = g1.m * n2 + g2.m * g1.n
     if m > _PRODUCT_EDGE_CAP:
         raise ResourceLimit(f"cartesian product has {m} edges, above cap {_PRODUCT_EDGE_CAP}")
+    _check_size(g1.n * n2, cg1.d + cg2.d)
     items = []
     for e, (a1, a2) in enumerate(g1.edges):
         c = cg1.coloring[e]
@@ -325,11 +345,15 @@ class CayleySpec:
 
 
 def _check_connection_set(group, S: tuple, set_name: str, member: str) -> None:
-    """The checks both Cayley forms share: group size, then S nonempty,
-    without repeats and without the identity."""
+    """The checks both Cayley forms share: group size, then every member of S
+    an element of the group, S nonempty, without repeats and without the identity."""
     order = group.__len__()  # len() raises OverflowError past sys.maxsize
     if order > CAYLEY_ORDER_CAP:
         raise ResourceLimit(f"group order {order} above cap {CAYLEY_ORDER_CAP}")
+    elements = set(group.elements)
+    for a in S:
+        if a not in elements:
+            raise InvalidCayleySpec(f"{member} {a!r} is not an element of the group")
     if not S:
         raise InvalidCayleySpec(f"empty {set_name}")
     if len(set(S)) != len(S):

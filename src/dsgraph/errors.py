@@ -66,9 +66,9 @@ class PermutationSearchFailed(DsgraphError):
 class PermutationNotFound(PermutationSearchFailed):
     """Exhaustive search proved that no permutation passes the check."""
 
-    def __init__(self, tried: int):
-        super().__init__(f"no valid color permutation exists ({tried} tried exhaustively)")
-        self.tried = self.trials = tried
+    def __init__(self, trials: int):
+        super().__init__(f"no valid color permutation exists ({trials} tried exhaustively)")
+        self.trials = trials
 
 
 class PermutationBudgetExceeded(PermutationSearchFailed):

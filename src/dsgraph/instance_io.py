@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import lt
 
-from .constructors import ColoredGraph, _certify
+from .constructors import ColoredGraph, _certify, _check_size
 from .errors import InvalidInstance
 from .graph_core import EdgeColoring, Graph
 # not called here; bound because perfbench/tracing.py wraps it by name
@@ -167,7 +167,8 @@ def _check_plan(raw: list, n: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def from_json_dict(data) -> Instance:
-    """Validate a parsed JSON object; error messages name the broken invariant."""
+    """Validate a parsed JSON object; error messages name the broken invariant,
+    and n and d past the caps of ``_check_size`` raise ResourceLimit first."""
     if not isinstance(data, dict):
         raise _err("top level: must be a JSON object")
     if data.get("format") != FORMAT_TAG:
@@ -178,6 +179,7 @@ def from_json_dict(data) -> Instance:
         raise _err("n: must be a nonnegative integer")
     if not isinstance(d, int) or isinstance(d, bool) or d < 0:
         raise _err("d: must be a nonnegative integer")
+    _check_size(n, d)
     raw_edges = data.get("edges")
     if not isinstance(raw_edges, list):
         raise _err("edges: must be an array of [u, v] pairs")

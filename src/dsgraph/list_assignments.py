@@ -74,13 +74,6 @@ class SparsityReport:
     violations: tuple[Violation, ...]
 
 
-def as_fraction(x) -> Fraction:
-    """Exact conversion; floats convert by their binary value."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 def _check_colors(L: ListAssignment, g: Graph, d: int) -> None:
     for e, cs in L.items():
         if not 0 <= e < g.m:
@@ -98,7 +91,7 @@ def validate_beta_sparse(cg: ColoredGraph, L: ListAssignment, beta) -> SparsityR
     anchor of each W6 class.
     """
     g, h, d = cg.graph, cg.coloring, cg.d
-    beta = as_fraction(beta)
+    beta = Fraction(beta)
     if beta < 0:
         raise InvalidBound("beta must be nonnegative")
     _check_colors(L, g, d)
@@ -153,7 +146,7 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
     the visit order but not globally maximum.
     """
     g, h, d = cg.graph, cg.coloring, cg.d
-    beta = as_fraction(beta)
+    beta = Fraction(beta)
     if beta < 0:
         raise InvalidBound("beta must be nonnegative")
     cap = math.floor(beta * cg.s_measured)

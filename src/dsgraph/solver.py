@@ -34,10 +34,12 @@ from .errors import (PermutationBudgetExceeded, PermutationNotFound,
 from .graph_core import (EdgeColoring, FourCycle, Graph, apply_swaps,
                          color_table, is_proper, properness_witness, swap_cycle,
                          t_neighborhood, two_colored_cycles_through)
-from .list_assignments import (ListAssignment, _check_colors, as_fraction, conflict_edges,
+from .list_assignments import (ListAssignment, _check_colors, conflict_edges,
                                support_is_distance2_matching)
 
 EXHAUSTIVE_D_CAP = 8
+# random permutation trials of both solvers, and the CLI's default --trials
+DEFAULT_TRIALS = 200
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,10 @@ class SolverParams:
     beta: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", as_fraction(self.gamma))
-        object.__setattr__(self, "tau", as_fraction(self.tau))
-        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
+        object.__setattr__(self, "gamma", Fraction(self.gamma))
+        object.__setattr__(self, "tau", Fraction(self.tau))
+        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        object.__setattr__(self, "beta", Fraction(self.beta))
         if self.d < 1 or self.s < 1:
             raise ValueError("d and s must be positive")
         for name in ("gamma", "tau", "epsilon"):
@@ -276,9 +278,9 @@ class RandomSearch:
         """The identity, then one list shuffled in place again for each later trial."""
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        rng = random.Random(self.seed)
         base = list(range(1, d + 1))
         yield tuple(base)
+        rng = random.Random(self.seed)  # most searches stop at the identity
         for _ in range(self.trials - 1):
             rng.shuffle(base)
             yield tuple(base)
@@ -297,8 +299,9 @@ class Exhaustive:
         yield from itertools.permutations(range(1, d + 1))
 
 
-def _search_permutation(accept, d: int, strategy) -> tuple[Permutation, int]:
-    """First permutation that ``accept`` takes, with its 1-based trial count.
+def _search_permutation(accept, d: int, strategy):
+    """(rho, what ``accept(rho)`` returned, 1-based trial count) for the first
+    permutation rho that ``accept`` returns a truthy value for.
 
     Raises the strategy's own ``exhausted`` error when no candidate is taken.
     """
@@ -306,8 +309,8 @@ def _search_permutation(accept, d: int, strategy) -> tuple[Permutation, int]:
     for images in strategy.candidates(d):
         count += 1
         rho = Permutation(images)
-        if accept(rho):
-            return rho, count
+        if taken := accept(rho):
+            return rho, taken, count
     raise strategy.exhausted(count)
 
 
@@ -318,8 +321,7 @@ def find_permutation(cg: ColoredGraph, L: ListAssignment, params: SolverParams,
     Raises PermutationNotFound when an exhaustive scan proves none exists and
     PermutationBudgetExceeded when random trials run out (which proves nothing).
     """
-    rho, _ = _search_permutation(_Checker(cg, L, params).accepts, cg.d, strategy)
-    return rho
+    return _search_permutation(_Checker(cg, L, params).accepts, cg.d, strategy)[0]
 
 
 def _swap_allowed(L: ListAssignment, cyc: FourCycle) -> bool:
@@ -489,16 +491,16 @@ def solve_sparse(cg: ColoredGraph, L: ListAssignment, params: SolverParams | Non
                  strategy=None) -> SolveResult:
     """Run both phases; on failure return a report instead of raising.
 
-    Defaults: params from ``default_params`` on (d, measured s), and a
-    200-trial seeded random permutation search. Raises ColorOutOfRange for a
-    list on an edge that does not exist or with a color outside 1..d.
+    Defaults: params from ``default_params`` on (d, measured s), and a seeded
+    random search of ``DEFAULT_TRIALS`` permutations. Raises ColorOutOfRange
+    for a list on an edge that does not exist or with a color outside 1..d.
     """
     if params is None:
         params = default_params(cg.d, cg.s_measured)
     if strategy is None:
-        strategy = RandomSearch(trials=200, seed=0)
+        strategy = RandomSearch(trials=DEFAULT_TRIALS, seed=0)
     try:
-        rho, trials = _search_permutation(_Checker(cg, L, params).accepts, cg.d, strategy)
+        rho, _, trials = _search_permutation(_Checker(cg, L, params).accepts, cg.d, strategy)
     except PermutationSearchFailed as exc:
         return SolveResult(None, None, None, exc.trials, FailureReport(
             "permutation", str(exc), trials=exc.trials))
@@ -547,9 +549,9 @@ def solve_distance2(cg: ColoredGraph, L: ListAssignment) -> SolveResult:
     capped at s-1, which guarantees at least one allowed cycle exists per
     conflict in isolation. When two conflicts' only allowed cycles share an
     edge, no choice works on the standard coloring itself, so the search runs
-    inside phase one's permutation loop (200 seeded trials, trial 1 the
-    identity): recoloring whole color classes keeps properness and the
-    4-cycles but changes which edges conflict and which cycles are allowed.
+    inside phase one's permutation loop (``DEFAULT_TRIALS`` seeded trials,
+    trial 1 the identity): recoloring whole color classes keeps properness and
+    the 4-cycles but changes which edges conflict and which cycles are allowed.
     """
     h, s = cg.coloring, cg.s_measured
     _check_colors(L, cg.graph, cg.d)
@@ -559,21 +561,18 @@ def solve_distance2(cg: ColoredGraph, L: ListAssignment) -> SolveResult:
         if len(colors) > s - 1:
             raise PreconditionViolated(
                 f"list on edge {e} has {len(colors)} colors; at most {s - 1} allowed")
-    found: list = []
 
-    def accept(rho: Permutation) -> bool:
+    def accept(rho: Permutation):
         hprime = apply_permutation(h, rho)
         chosen = _disjoint_cycle_system(cg, hprime, L)
-        if chosen is not None:
-            found.append((hprime, chosen))
-        return chosen is not None
+        return chosen is not None and (hprime, chosen)
 
     try:
-        rho, trials = _search_permutation(accept, cg.d, RandomSearch(trials=200, seed=0))
+        rho, (hprime, chosen), trials = _search_permutation(
+            accept, cg.d, RandomSearch(trials=DEFAULT_TRIALS, seed=0))
     except PermutationBudgetExceeded as exc:
         return SolveResult(None, None, None, exc.trials, FailureReport(
             "swap-search", "no edge-disjoint system of allowed cycles found",
             trials=exc.trials))
-    hprime, chosen = found[0]
     plan = SwapPlan(tuple(chosen))
     return _verified(cg, L, apply_swaps(hprime, chosen), rho, plan, trials)

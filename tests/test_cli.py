@@ -56,6 +56,21 @@ def test_construct_removed_and_cayley(tmp_path, capsys):
     assert code == 0 and "s_measured=3" in out
 
 
+@pytest.mark.parametrize("family,orders,gens,bad", [
+    ("cayley_abelian", "4,2", "1", "(1,)"),
+    ("cayley_abelian", "4,2", "5,0;0,1", "(5, 0)"),
+    ("cayley_involutions", "2,2", "1,0,5;0,1", "(1, 0, 5)"),
+])
+def test_construct_refuses_a_member_outside_the_group(family, orders, gens, bad, tmp_path,
+                                                      capsys):
+    out = tmp_path / "c.json"
+    code, _, err = run(capsys, "construct", "--family", family, "--orders", orders,
+                       "--gens", gens, "--out", str(out))
+    assert code == 2
+    assert err.endswith(f"{bad} is not an element of the group\n")
+    assert not out.exists()
+
+
 def test_construct_product_from_files(tmp_path, capsys, monkeypatch):
     a, b, p = (str(tmp_path / x) for x in ("a.json", "b.json", "p.json"))
     run(capsys, "construct", "--family", "hypercube", "--d", "2", "--out", a)
@@ -103,6 +118,24 @@ def test_solve_auto_prefers_distance2_form(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", f, "--mode", "auto")
     assert code == 0
     assert "theorem2" in out
+
+
+def test_solve_auto_falls_back_to_theorem1_on_sparse_lists(tmp_path, capsys):
+    f = str(tmp_path / "q5.json")
+    run(capsys, "construct", "--family", "hypercube", "--d", "5", "--out", f)
+    run(capsys, "gen-lists", f, "--beta", "1/5", "--seed", "2")
+    flags = ("--gamma", "1/5", "--tau", "2/5", "--epsilon", "1/2", "--trials", "20")
+    results = {}
+    for mode in ("auto", "theorem1"):
+        out = str(tmp_path / f"{mode}.json")
+        code, stdout, err = run(capsys, "solve", f, "--mode", mode, *flags, "--out", out)
+        results[mode] = code, stdout.replace(out, "OUT"), err, open(out, "rb").read()
+    assert results["auto"] == results["theorem1"]
+    assert results["auto"][:2] == (0, "solved (theorem1): 5 swaps, verified -> OUT\n")
+    code, _, err = run(capsys, "solve", f, "--mode", "theorem2", *flags,
+                       "--out", str(tmp_path / "theorem2.json"))
+    assert code == 2
+    assert err == "error: listed edges must form a distance-2 matching\n"
 
 
 def test_solve_failure_writes_report_and_exits_1(tmp_path, capsys):

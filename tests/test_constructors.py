@@ -12,6 +12,7 @@ from dsgraph import constructors, graph_core
 from dsgraph.constructors import (BIPARTITE_T_CAP, CAYLEY_ORDER_CAP,
                                   HYPERCUBE_DIM_CAP)
 from dsgraph.graph_core import _cycle_tuples
+from dsgraph.instance_io import from_json_dict
 from tests.test_neighborhood_kernel import BUILDERS
 
 
@@ -52,10 +53,26 @@ def test_resource_caps():
         dg.cayley_abelian(dg.CayleySpec(big, half_set=((1,) + (0,) * 12,)))
 
 
+def instance_dict(n, d, **blocks):
+    return {"format": "dsgraph-v1", "n": n, "d": d, "edges": [], **blocks}
+
+
+FILE_SIZES = {"file_vertices": (65_537, 0),
+              "file_degree": (2, 2),
+              "file_color_table": (4097, 4096)}
+
+
 def over_cap_call(case, monkeypatch):
     """A call that a size cap refuses. Where the real over-cap input is
-    itself costly to build, the cap is lowered instead; each input is big
-    enough that building it before the check would pass 1 MB."""
+    itself costly to build, the cap is lowered instead; each input other
+    than the file sizes, which sit just past each bound, is big enough that
+    building it before the check would pass 1 MB."""
+    if case in FILE_SIZES:
+        return lambda: from_json_dict(instance_dict(*FILE_SIZES[case]))
+    if case == "product_vertices":
+        # two edgeless factors on 257 vertices multiply to 66,049
+        factor = dg.to_colored_graph(from_json_dict(instance_dict(257, 0, coloring=[])))
+        return lambda: dg.cartesian_product(factor, factor)
     if case == "hypercube":
         return lambda: dg.hypercube(HYPERCUBE_DIM_CAP + 1)
     if case == "complete_bipartite_pow2":
@@ -78,7 +95,8 @@ def over_cap_call(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["hypercube", "complete_bipartite_pow2", "cayley_order",
-                                  "cartesian_product", "edge_balls", "oracle_frames"])
+                                  "cartesian_product", "edge_balls", "oracle_frames",
+                                  *FILE_SIZES, "product_vertices"])
 def test_size_caps_refuse_before_they_allocate(case, monkeypatch):
     call = over_cap_call(case, monkeypatch)
     tracemalloc.start()
@@ -208,6 +226,24 @@ def test_connection_set_checks_keep_their_wording(build, field, value, message):
     with pytest.raises(dg.InvalidCayleySpec) as info:
         build(spec)
     assert str(info.value) == message
+
+
+KLEIN = dg.MulTable([[a ^ b for b in range(4)] for a in range(4)])
+
+
+@pytest.mark.parametrize("build,group,field,members,bad", [
+    (dg.cayley_abelian, dg.CyclicProduct((4, 2)), "half_set", ((1,),), (1,)),
+    (dg.cayley_abelian, dg.CyclicProduct((4, 2)), "half_set", ((5, 0), (0, 1)), (5, 0)),
+    (dg.cayley_involutions, dg.CyclicProduct((2, 2)), "generators", ((1, 0, 5), (0, 1)),
+     (1, 0, 5)),
+    (dg.cayley_involutions, KLEIN, "generators", (1, -2), -2),
+    (dg.cayley_involutions, KLEIN, "generators", (1, 9), 9),
+])
+def test_connection_set_members_must_be_group_elements(build, group, field, members, bad):
+    with pytest.raises(dg.InvalidCayleySpec) as info:
+        build(dg.CayleySpec(group, **{field: members}))
+    member = "generator" if field == "generators" else "half-set generator"
+    assert str(info.value) == f"{member} {bad!r} is not an element of the group"
 
 
 def test_non_associative_table_gives_an_edge_two_colors():

@@ -93,6 +93,16 @@ def test_to_colored_graph_names_the_repeated_color(q3):
                                f"edges 0 and 1 share color {colors[0]} at vertex 0")
 
 
+@pytest.mark.parametrize("cut", [lambda cs: (0, *cs[1:]), lambda cs: cs[:-1]])
+def test_to_colored_graph_refuses_a_partial_coloring(q3, cut):
+    # a hand-built Instance may leave an edge uncolored or carry too few colors
+    inst = dg.from_colored_graph(q3)
+    inst.coloring = dg.EdgeColoring(cut(q3.coloring.colors), 3)
+    with pytest.raises(dg.CertificationFailed) as info:
+        dg.to_colored_graph(inst)
+    assert str(info.value) == "hypercube: coloring must color each of the 12 edges"
+
+
 def test_a_loaded_coloring_is_certified_as_loaded(q3, tmp_path):
     path = tmp_path / "q3.json"
     dg.save_instance(dg.from_colored_graph(q3), path)

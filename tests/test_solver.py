@@ -76,7 +76,7 @@ def test_find_permutation_exhaustive_proves_absence(k44):
     p = dg.SolverParams(4, 4, 0, Fraction(9, 10), Fraction(1, 2))
     with pytest.raises(dg.PermutationNotFound) as ei:
         dg.find_permutation(k44, L, p, dg.Exhaustive())
-    assert ei.value.tried == 24
+    assert ei.value.trials == 24
 
 
 def test_find_permutation_random_budget(k44):

@@ -306,7 +306,8 @@ def _sweep_family(token: str):
 def cmd_sweep(args) -> int:
     families = [_sweep_family(tok) for tok in args.families.split(",") if tok]
     _require(bool(families), "--families must name at least one family")
-    grid = [Fraction(tok) for tok in args.beta_grid.split(",") if tok]
+    # each distinct value once, in first-seen order: 1/2 and 2/4 are one value
+    grid = list(dict.fromkeys(Fraction(tok) for tok in args.beta_grid.split(",") if tok))
     _require(bool(grid), "--beta-grid must contain at least one value")
     _require(args.seeds >= 1, "--seeds must be >= 1")
     rows = []

@@ -22,8 +22,8 @@ distance-2 list generator.
 Edge distance is symmetric, so the anchors whose W_t holds e are exactly the
 bits of W_t(e). Questions of the form "how many chosen edges lie in each
 anchor's W_t" therefore need no table: ``add_count`` adds W_t(e) to a
-bit-sliced counter over all anchors at once, and ``Graph.crowded_anchors``
-names the anchors whose count exceeds a cap, one per class of equal W_t.
+bit-sliced counter over all anchors at once, which is how
+``list_assignments._crowded`` names the anchors whose W6 count exceeds a cap.
 
 A proper coloring makes 4-cycle enumeration cheap: for an edge uv of color a
 and any other color c there is at most one c-colored edge at v (to some z) and
@@ -212,32 +212,6 @@ class Graph:
         balls = self.edge_balls(t)
         u, v = self.edges[e]
         return balls[u] | balls[v]
-
-    def crowded_anchors(self, edges, cap: int, t: int) -> list[tuple[int, int]]:
-        """(least anchor, count) for each W_t class of anchor edges whose W_t
-        holds more than cap of the distinct edges, in ascending anchor order.
-
-        Anchors with equal W_t have equal counts, so the least anchor of a
-        crowded class is the least anchor with that W_t at all.
-        """
-        if len(edges) <= cap:
-            return []
-        balls = self.edge_balls(t)
-        levels = [0] * (cap + 1)
-        members = 0
-        for e in edges:
-            u, v = self.edges[e]
-            add_count(levels, balls[u] | balls[v])
-            members |= 1 << e
-        seen: set[int] = set()
-        out = []
-        for a in _bits(levels[cap]):
-            u, v = self.edges[a]
-            w = balls[u] | balls[v]
-            if w not in seen:
-                seen.add(w)
-                out.append((a, (members & w).bit_count()))
-        return out
 
     # unused by the library; kept because perfbench/tracing.py wraps it by name
     def neighborhood_dedup(self, t: int):

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .constructors import ColoredGraph
 from .errors import ColorOutOfRange, InvalidBound
-from .graph_core import EdgeColoring, Graph, add_count, is_distance_t_matching
+from .graph_core import EdgeColoring, Graph, _bits, add_count, is_distance_t_matching
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +83,40 @@ def _check_colors(L: ListAssignment, g: Graph, d: int) -> None:
                 raise ColorOutOfRange(f"color {c} on edge {e} outside 1..{d}")
 
 
+def _crowded(cg: ColoredGraph, groups: dict, cap: int):
+    """Lazily yield the counts past cap of the edges grouped by (matching, color).
+
+    First ("ii", (vertex, color), count) for each vertex where more than cap
+    edges under one color meet, ascending; then, key by key ascending,
+    ("iii", (anchor, matching, color), count) for each class of equal W6 that
+    holds more than cap of the key's edges, named by its least anchor. The
+    validator groups the lists by (matching, listed color); phase one groups
+    each matching's conflict edges under color 0, for its (b) and (a).
+    """
+    g, width = cg.graph, cg.d + 1
+    edges = g.edges
+    # (vertex, color) as the int vertex * (d + 1) + color
+    ends = Counter(w * width + c for (_, c), group in groups.items()
+                   for e in group for w in edges[e])
+    for key, cnt in sorted(item for item in ends.items() if item[1] > cap):
+        yield "ii", divmod(key, width), cnt
+    for m, c in sorted(key for key, group in groups.items() if len(group) > cap):
+        balls = g.edge_balls(6)  # built only once some group exceeds cap
+        levels = [0] * (cap + 1)
+        members = 0
+        for e in groups[m, c]:
+            u, v = edges[e]
+            add_count(levels, balls[u] | balls[v])
+            members |= 1 << e
+        seen: set[int] = set()
+        for a in _bits(levels[cap]):
+            u, v = edges[a]
+            w = balls[u] | balls[v]
+            if w not in seen:  # anchors with equal W6 have equal counts
+                seen.add(w)
+                yield "iii", (a, m, c), (members & w).bit_count()
+
+
 def validate_beta_sparse(cg: ColoredGraph, L: ListAssignment, beta) -> SparsityReport:
     """Check conditions (i)-(iii); the report lists one violation per witness.
 
@@ -99,21 +133,12 @@ def validate_beta_sparse(cg: ColoredGraph, L: ListAssignment, beta) -> SparsityR
     cap = math.floor(bound)
     violations = [Violation("i", (e,), len(cs), bound)
                   for e, cs in sorted(L.items()) if len(cs) > cap]
-    edges, colors = g.edges, h.colors
-    ends: list[tuple[int, int]] = []  # (vertex, color) once per listed color and endpoint
+    colors = h.colors
     groups: dict[tuple[int, int], list[int]] = {}
     for e, cs in L.items():
-        u, v = edges[e]
-        m = colors[e]
         for c in cs:
-            ends += ((u, c), (v, c))
-            groups.setdefault((m, c), []).append(e)
-    for (u, c), cnt in sorted(item for item in Counter(ends).items() if item[1] > cap):
-        violations.append(Violation("ii", (u, c), cnt, bound))
-    crowded = [(a, m, c, cnt) for (m, c), group in groups.items()
-               for a, cnt in g.crowded_anchors(group, cap, 6)]
-    for a, m, c, cnt in sorted(crowded):
-        violations.append(Violation("iii", (a, m, c), cnt, bound))
+            groups.setdefault((colors[e], c), []).append(e)
+    violations += [Violation(*v, bound) for v in sorted(_crowded(cg, groups, cap))]
     return SparsityReport(not violations, beta, tuple(violations))
 
 
@@ -159,34 +184,36 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
     balls = g.edge_balls(6)
     lists: dict[int, set[int]] = {}
     sizes = [0] * g.m
-    per_vertex = [0] * (g.n * d)  # w * d + c - 1
+    full = [0] * g.n  # per vertex w, bit c - 1 set once color c is at cap at w
+    per_vertex: dict[int, int] = {}  # w * d + c - 1 -> admitted pairs, for the keys met
     # matching * d + c - 1 -> bit-sliced counts of admitted pairs per anchor
     # W6; the top level holds the anchors already at cap
-    levels: list[list[int] | None] = [None] * ((d + 1) * d)
+    levels: dict[int, list[int]] = {}
     for p in pairs:
         e = p // d
         if sizes[e] >= cap:
             continue
         c0 = p - e * d
         u, v = edges[e]
-        iu = u * d + c0
-        iv = v * d + c0
-        if per_vertex[iu] >= cap or per_vertex[iv] >= cap:
+        bit = 1 << c0
+        if (full[u] | full[v]) & bit:
             continue
         w6 = balls[u] | balls[v]
         k = colors[e] * d + c0
-        counts = levels[k]
-        if counts is None:
+        if k not in levels:
             counts = levels[k] = [0] * cap
-        elif counts[-1] & w6:
+        elif (counts := levels[k])[-1] & w6:
             continue
         if sizes[e]:
             lists[e].add(c0 + 1)
         else:
             lists[e] = {c0 + 1}
         sizes[e] += 1
-        per_vertex[iu] += 1
-        per_vertex[iv] += 1
+        for w in (u, v):
+            i = w * d + c0
+            per_vertex[i] = cnt = per_vertex.get(i, 0) + 1
+            if cnt >= cap:
+                full[w] |= bit
         add_count(counts, w6)
     return ListAssignment({e: frozenset(cs) for e, cs in lists.items()})
 

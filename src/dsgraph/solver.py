@@ -34,7 +34,7 @@ from .errors import (PermutationBudgetExceeded, PermutationNotFound,
 from .graph_core import (EdgeColoring, FourCycle, Graph, apply_swaps,
                          color_table, is_proper, properness_witness, swap_cycle,
                          t_neighborhood, two_colored_cycles_through)
-from .list_assignments import (ListAssignment, _check_colors, conflict_edges,
+from .list_assignments import (ListAssignment, _check_colors, _crowded, conflict_edges,
                                support_is_distance2_matching)
 
 EXHAUSTIVE_D_CAP = 8
@@ -181,9 +181,9 @@ class _Checker:
     a trial tests each entry once and counts a blocked one against its four
     edges; (c) is then checked per edge, in ascending edge order. ``hits``
     names the listed edges that conflict for each (matching, image) pair, so
-    (b) and (a) read only the conflict edges; (a) counts each matching's
-    conflict edges per anchor with ``Graph.crowded_anchors``. Integer counts
-    are compared against floor(gamma*s) and floor(tau*s), which decides
+    (b) and (a) read only the conflict edges, through the lazy count of
+    (ii) and (iii), ``list_assignments._crowded``. Integer counts are
+    compared against floor(gamma*s) and floor(tau*s), which decides
     exactly as the Fractions would.
     """
 
@@ -192,7 +192,7 @@ class _Checker:
         _check_colors(L, g, cg.d)
         self.gs = math.floor(params.gamma_s)
         self.ts = math.floor(params.tau_s)
-        self.graph, self.edges = g, g.edges
+        self.cg = cg
         lists = L.lists
         supp = sorted(lists)
         # hits[m - 1][x]: the listed edges of matching m whose list holds x,
@@ -234,17 +234,11 @@ class _Checker:
         matching and anchor, then (c) by edge, each in ascending order."""
         gs, ts = self.gs, self.ts
         images = rho.images
-        # the conflict edges, grouped by matching in ascending order
-        conf = [(m, hit[x]) for m, (x, hit) in enumerate(zip(images, self.hits), 1)
-                if x in hit]
-        edges = self.edges
-        per_vertex = Counter(w for _, group in conf for e in group for w in edges[e])
-        for u, cnt in sorted(per_vertex.items()):
-            if cnt > gs:
-                yield "b", (u, cnt)
-        for m, group in conf:
-            for a, cnt in self.graph.crowded_anchors(group, gs, 6):
-                yield "a", (a, m, cnt)
+        # each matching's conflict edges, all under color 0
+        conf = {(m, 0): hit[x] for m, (x, hit) in enumerate(zip(images, self.hits), 1)
+                if x in hit}
+        for kind, witness, cnt in _crowded(self.cg, conf, gs):
+            yield "b" if kind == "ii" else "a", (*witness[:-1], cnt)  # drop color 0
         bits = [1 << x for x in images]
         bad: Counter = Counter()
         blocked = 0

@@ -439,6 +439,18 @@ def test_sweep_is_byte_deterministic(tmp_path, capsys):
     assert all(r.endswith(",") for r in rows[1:])
 
 
+def test_sweep_runs_each_distinct_beta_once(tmp_path, capsys):
+    f = str(tmp_path / "r.csv")
+    code, out, _ = run(capsys, "sweep", "--families", "hypercube:3,hypercube:3",
+                       "--beta-grid", "1/2,1/2,2/4,0", "--seeds", "2", "--out", f)
+    assert code == 0
+    rows = open(f).read().splitlines()[1:]
+    assert len(rows) == 8
+    assert [r.split(",")[4] for r in rows] == ["1/2", "1/2", "0", "0"] * 2
+    assert [line.split(":")[0] for line in out.splitlines()[:-1]] == ["beta=1/2", "beta=0"]
+    assert out.splitlines()[-1] == f"8 rows -> {f}"
+
+
 def test_sweep_timing_flag_fills_the_column(tmp_path, capsys):
     f = str(tmp_path / "t.csv")
     code, _, _ = run(capsys, "sweep", "--families", "hypercube:3", "--beta-grid",

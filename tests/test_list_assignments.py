@@ -1,6 +1,7 @@
 """Forbidden-color lists: sparsity validation and seeded generators."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsgraph as dg
+from dsgraph.instance_io import from_json_dict
 from dsgraph.list_assignments import _shuffle
 from tests.conftest import ref_generate_sparse
 from tests.test_neighborhood_kernel import BUILDERS
@@ -140,6 +142,22 @@ def test_generate_sparse_matches_the_tuple_shuffle_reference(label):
             # and each frozenset iterates as the reference's does
             assert [tuple(cs) for cs in L.lists.values()] == \
                 [tuple(cs) for cs in ref.lists.values()]
+
+
+def test_generate_sparse_state_grows_with_the_pairs_met_not_with_d():
+    # one edge with d = 999: tables sized n * d or d * d would pass 15 MB
+    cg = dg.to_colored_graph(from_json_dict({"format": "dsgraph-v1", "n": 1000, "d": 999,
+                                             "edges": [[0, 1]], "coloring": [1]}))
+    cg.graph.edge_balls(6)
+    tracemalloc.start()
+    try:
+        L = dg.generate_sparse(cg, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert L == ref_generate_sparse(cg, 1, 0)
+    assert L.total_entries() == 1
+    assert peak < 1 << 20
 
 
 def test_generate_sparse_rejects_out_of_range_colors(q3):

@@ -9,13 +9,16 @@ The bit-sliced anchor counters behind ``generate_sparse``, sparsity condition
 (iii) and phase-one condition (a) are compared with the 6-neighborhood tables
 they replaced: the table-based generator and both counting loops are kept
 here, built on ``Graph.neighborhood_dedup``, and must agree witness for
-witness.
+witness. The whole violation list of ``validate_beta_sparse`` is also
+counted from the definitions, per vertex over its incident edges and per
+anchor over ``t_neighborhood``.
 """
 
 import functools
 import math
 import operator
 import random
+import tracemalloc
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -26,6 +29,7 @@ from hypothesis import strategies as st
 import dsgraph as dg
 from dsgraph.constructors import ColoredGraph
 from dsgraph.graph_core import Graph, add_count
+from dsgraph.solver import _Checker
 from tests.conftest import edge_distance, random_lists
 
 
@@ -282,6 +286,31 @@ def table_condition_a(cg, tables, L, rho, gs):
     return out
 
 
+def first_principles_violations(cg, L, beta):
+    """Conditions (i), (ii) and (iii), in the validator's order, each counted
+    from its definition; (iii) is reported once per distinct W6, through its
+    least anchor."""
+    g, h = cg.graph, cg.coloring
+    bound = beta * cg.s_measured
+    cap = math.floor(bound)
+    out = [dg.Violation("i", (e,), len(cs), bound) for e, cs in sorted(L.items())
+           if len(cs) > cap]
+    for w in range(g.n):
+        at_w = Counter(c for e in g.adjacency[w] for c in L.get(e))
+        out += [dg.Violation("ii", (w, c), at_w[c], bound) for c in sorted(at_w)
+                if at_w[c] > cap]
+    iii, seen = [], set()
+    for a in range(g.m):
+        W = dg.t_neighborhood(g, a, 6)
+        if W in seen:
+            continue
+        seen.add(W)
+        in_w = Counter((h[e], c) for e in W for c in L.get(e))
+        iii += [dg.Violation("iii", (a, m, c), cnt, bound)
+                for (m, c), cnt in sorted(in_w.items()) if cnt > cap]
+    return out + iii
+
+
 def some_lists(cg, beta_num, seed, crowded):
     """Generated beta-sparse lists, or unconstrained ones that crowd every check."""
     if crowded:
@@ -322,6 +351,17 @@ def test_condition_iii_matches_table_loop(label, beta_num, seed, crowded, check_
     assert got == table_condition_iii(cg, dedup6(label), L, beta)
 
 
+@settings(deadline=None, max_examples=40)
+@given(labels, st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=10 ** 6),
+       st.booleans(), st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]))
+def test_validate_matches_first_principles_counts(label, beta_num, seed, crowded, check_num):
+    cg, _ = instance(label)
+    L = some_lists(cg, beta_num, seed, crowded)
+    beta = check_num / cg.s_measured
+    got = dg.validate_beta_sparse(cg, L, beta).violations
+    assert list(got) == first_principles_violations(cg, L, beta)
+
+
 @settings(deadline=None, max_examples=80)
 @given(labels, st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=10 ** 6),
        st.booleans(), st.integers(min_value=0, max_value=1))
@@ -344,3 +384,23 @@ def test_q10_sparse_lists_generate_and_validate_without_tables():
     L = dg.generate_sparse(cg, Fraction(1, 10), 0)
     assert L.total_entries() == 100
     assert dg.validate_beta_sparse(cg, L, Fraction(1, 10)).ok
+
+
+def test_one_phase_one_trial_stops_at_its_first_witness():
+    # the identity crowds tens of thousands of W6 classes here; a trial
+    # that listed them all before its first witness peaked near 4 MB
+    cg = dg.hypercube(10)
+    L = dg.generate_sparse(cg, Fraction(2, 10), 0)
+    params = dg.SolverParams(cg.d, cg.s_measured, Fraction(1, 10), Fraction(5, 10),
+                             Fraction(5, 10))
+    checker = _Checker(cg, L, params)
+    identity = dg.Permutation(tuple(range(1, cg.d + 1)))
+    cg.graph.edge_balls(6)
+    assert next(checker.witnesses(identity)) == ("a", (0, 1, 2))
+    tracemalloc.start()
+    try:
+        assert not checker.accepts(identity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

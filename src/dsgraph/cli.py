@@ -29,9 +29,6 @@ from .oracle import DEFAULT_NODE_BUDGET, oracle_avoidable
 from .solver import (DEFAULT_TRIALS, Exhaustive, RandomSearch, SolverParams, default_params,
                      find_violation, solve_distance2, solve_sparse)
 
-FAMILIES = ("hypercube", "complete_bipartite_pow2", "remove_standard_matchings",
-            "cartesian_product", "cayley_involutions", "cayley_abelian")
-
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -51,10 +48,6 @@ def _parse_tuples(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_parse_ints(part) for part in text.split(";") if part)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _mpf_str(x) -> str:
     from mpmath import mp
     return mp.nstr(x, 30)
@@ -65,38 +58,34 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _load(path: str):
+    """(instance, certified colored graph) of an instance file."""
+    inst = load_instance(path)
+    return inst, to_colored_graph(inst)
+
+
+# family -> (the construct flags it requires, a builder from the parsed flags)
+FAMILIES = {
+    "hypercube": (("d",), lambda a: hypercube(a.d)),
+    "complete_bipartite_pow2": (("t",), lambda a: complete_bipartite_pow2(a.t)),
+    "remove_standard_matchings": (("t", "k"), lambda a: remove_standard_matchings(
+        complete_bipartite_pow2(a.t), a.k, _parse_ints(a.colors) if a.colors else None)),
+    "cartesian_product": (("left", "right"), lambda a: cartesian_product(
+        _load(a.left)[1], _load(a.right)[1])),
+    "cayley_involutions": (("orders", "gens"), lambda a: cayley_involutions(CayleySpec(
+        CyclicProduct(_parse_ints(a.orders)), generators=_parse_tuples(a.gens),
+        commuting=_parse_tuples(a.commuting or "")))),
+    "cayley_abelian": (("orders", "gens"), lambda a: cayley_abelian(CayleySpec(
+        CyclicProduct(_parse_ints(a.orders)), half_set=_parse_tuples(a.gens)))),
+}
+
+
 def cmd_construct(args) -> int:
     name = args.family
-    if name == "hypercube":
-        _require(args.d is not None, "--d is required for hypercube")
-        cg = hypercube(args.d)
-    elif name == "complete_bipartite_pow2":
-        _require(args.t is not None, "--t is required for complete_bipartite_pow2")
-        cg = complete_bipartite_pow2(args.t)
-    elif name == "remove_standard_matchings":
-        _require(args.t is not None, "--t is required for remove_standard_matchings")
-        _require(args.k is not None, "--k is required for remove_standard_matchings")
-        colors = _parse_ints(args.colors) if args.colors else None
-        cg = remove_standard_matchings(complete_bipartite_pow2(args.t), args.k, colors)
-    elif name == "cartesian_product":
-        _require(args.left is not None and args.right is not None,
-                 "--left and --right instance files are required for cartesian_product")
-        cg = cartesian_product(to_colored_graph(load_instance(args.left)),
-                               to_colored_graph(load_instance(args.right)))
-    elif name == "cayley_involutions":
-        _require(args.orders is not None, "--orders is required for cayley_involutions")
-        _require(args.gens is not None, "--gens is required for cayley_involutions")
-        group = CyclicProduct(_parse_ints(args.orders))
-        commuting = _parse_tuples(args.commuting) if args.commuting else ()
-        cg = cayley_involutions(CayleySpec(group, generators=_parse_tuples(args.gens),
-                                           commuting=commuting))
-    elif name == "cayley_abelian":
-        _require(args.orders is not None, "--orders is required for cayley_abelian")
-        _require(args.gens is not None, "--gens is required for cayley_abelian")
-        group = CyclicProduct(_parse_ints(args.orders))
-        cg = cayley_abelian(CayleySpec(group, half_set=_parse_tuples(args.gens)))
-    else:
-        raise ValueError(f"unknown family {name!r}")
+    flags, build = FAMILIES[name]
+    for flag in flags:
+        _require(getattr(args, flag) is not None, f"--{flag} is required for {name}")
+    cg = build(args)
     save_instance(from_colored_graph(cg), args.out)
     print(f"{name}: n={cg.graph.n} d={cg.d} m={cg.graph.m} "
           f"s_claimed={cg.s_claimed} s_measured={cg.s_measured} -> {args.out}")
@@ -104,8 +93,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    inst = load_instance(args.file)
-    cg = to_colored_graph(inst)
+    _, cg = _load(args.file)
     g, f = cg.graph, cg.coloring
     sizes = {c: 0 for c in range(1, cg.d + 1)}
     for c in f.colors:
@@ -137,13 +125,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gen_lists(args) -> int:
-    inst = load_instance(args.file)
-    cg = to_colored_graph(inst)
+    inst, cg = _load(args.file)
     if args.distance2:
         max_list = args.max_list if args.max_list is not None else cg.s_measured - 1
         lists = generate_distance2(cg, args.seed, max_list)
     else:
-        _require(args.beta is not None, "one of --beta or --distance2 is required")
         lists = generate_sparse(cg, args.beta, args.seed)
     inst.lists = lists
     inst.solution = inst.plan = inst.report = None  # they answered the old lists
@@ -166,8 +152,7 @@ def _solver_params(cg, args) -> SolverParams:
 
 
 def cmd_solve(args) -> int:
-    inst = load_instance(args.file)
-    cg = to_colored_graph(inst)
+    inst, cg = _load(args.file)
     lists = inst.lists if inst.lists is not None else EMPTY
     result = None  # auto: theorem2 when its preconditions hold, else theorem1
     if args.mode != "theorem1":
@@ -253,14 +238,14 @@ def cmd_bounds(args) -> int:
     gamma, tau, epsilon = _thresholds(args, d, s) if s <= d \
         else (args.gamma, args.tau, args.epsilon)
     if gamma is not None and tau is not None and epsilon is not None:
-        info["gamma"] = _frac_str(gamma)
-        info["tau"] = _frac_str(tau)
-        info["epsilon"] = _frac_str(epsilon)
+        info["gamma"] = str(gamma)
+        info["tau"] = str(tau)
+        info["epsilon"] = str(epsilon)
         margin = bounds_mod.swap_choice_margin(d, s, gamma, tau, epsilon)
-        info["swap_margin"] = {"margin": _frac_str(margin.components["margin"]),
+        info["swap_margin"] = {"margin": str(margin.components["margin"]),
                                "satisfied": margin.satisfied}
         beta = args.beta if args.beta is not None else mp.power(2, threshold)
-        info["beta"] = _frac_str(args.beta) if args.beta is not None \
+        info["beta"] = str(args.beta) if args.beta is not None \
             else f"2^({_mpf_str(threshold)})"
         union = bounds_mod.permutation_union_bound(n, d, s, beta, gamma, tau)
         info["union_bound"] = {
@@ -272,11 +257,10 @@ def cmd_bounds(args) -> int:
     if s <= d:
         kappa = Fraction(s, d)
         c1, c2 = bounds_mod.fixed_ratio_constants(kappa)
-        info["fixed_ratio"] = {"kappa": _frac_str(kappa), "c1": _frac_str(c1),
-                               "c2": _frac_str(c2)}
+        info["fixed_ratio"] = {"kappa": str(kappa), "c1": str(c1), "c2": str(c2)}
     if args.c is not None and s >= 11:
         info["list_length"] = {
-            "c": _frac_str(args.c),
+            "c": str(args.c),
             "constant": bounds_mod.list_length_feasible(n, d, s, args.c, "constant"),
             "power": bounds_mod.list_length_feasible(n, d, s, args.c, "power"),
         }
@@ -294,13 +278,15 @@ def cmd_bounds(args) -> int:
 
 
 def _sweep_family(token: str):
+    """(token, graph): name:N through ``FAMILIES`` when name takes one flag,
+    any other token an instance file."""
     name, _, arg = token.partition(":")
-    if name == "hypercube":
-        return f"hypercube:{arg}", hypercube(int(arg))
-    if name == "complete_bipartite_pow2":
-        return f"complete_bipartite_pow2:{arg}", complete_bipartite_pow2(int(arg))
-    raise ValueError(f"sweep family must be hypercube:D or "
-                     f"complete_bipartite_pow2:T, got {token!r}")
+    if name not in FAMILIES:
+        return token, _load(token)[1]
+    flags, build = FAMILIES[name]
+    _require(len(flags) == 1, f"{name} takes more than one flag: construct it "
+                              f"and pass the instance file to sweep")
+    return token, build(argparse.Namespace(**{flags[0]: int(arg)}))
 
 
 def cmd_sweep(args) -> int:
@@ -325,8 +311,8 @@ def cmd_sweep(args) -> int:
                 verified = result.ok
                 rows.append({
                     "family": label, "n": cg.graph.n, "d": cg.d, "s": cg.s_measured,
-                    "beta": _frac_str(beta), "gamma": _frac_str(params.gamma),
-                    "tau": _frac_str(params.tau), "epsilon": _frac_str(params.epsilon),
+                    "beta": str(beta), "gamma": str(params.gamma),
+                    "tau": str(params.tau), "epsilon": str(params.epsilon),
                     "seed": seed,
                     "phase1_success": str(phase1).lower(),
                     "phase2_success": str(phase2).lower(),
@@ -338,7 +324,7 @@ def cmd_sweep(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    for beta in map(_frac_str, grid):
+    for beta in map(str, grid):
         verified = [row["verified"] for row in rows if row["beta"] == beta]
         print(f"beta={beta}: verified {verified.count('true')}/{len(verified)}")
     print(f"{len(rows)} rows -> {args.out}")
@@ -373,9 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-lists", help="attach generated forbidden lists")
     p.add_argument("file")
-    p.add_argument("--beta", type=_fraction, help="sparsity ratio as p/q")
-    p.add_argument("--distance2", action="store_true",
-                   help="lists on a random distance-2 matching instead")
+    kind = p.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--beta", type=_fraction, help="sparsity ratio as p/q")
+    kind.add_argument("--distance2", action="store_true",
+                      help="lists on a random distance-2 matching instead")
     p.add_argument("--max-list", type=int, dest="max_list",
                    help="largest list size for --distance2 (default s-1)")
     p.add_argument("--seed", type=int, default=0)
@@ -419,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="seeded success-rate experiments to CSV")
     p.add_argument("--families", required=True,
-                   help="comma-separated tokens like hypercube:4")
+                   help="comma-separated tokens: hypercube:D, complete_bipartite_pow2:T "
+                        "or an instance file")
     p.add_argument("--beta-grid", required=True, dest="beta_grid",
                    help="comma-separated rationals, e.g. 0,1/16,1/8")
     p.add_argument("--seeds", type=int, default=5)

@@ -512,26 +512,28 @@ def _disjoint_cycle_system(cg: ColoredGraph, f: EdgeColoring,
     """One allowed cycle per conflict edge of f, pairwise edge-disjoint, or None.
 
     Backtracks over each conflict's allowed cycles in (z, t) order, conflicts
-    in ascending edge order.
+    in ascending edge order, on an explicit stack (no recursion limit).
     """
     options = [allowed for _, _, allowed in
                _candidates(cg, f, L, conflict_edges(cg.graph, f, L))]
-    chosen: list[FourCycle] = []
-
-    def extend(i: int, used: int) -> bool:
-        if i == len(options):
-            return True
-        for cyc in options[i]:
-            mask = cyc.edge_mask
-            if used & mask:
-                continue
-            chosen.append(cyc)
-            if extend(i + 1, used | mask):
-                return True
-            chosen.pop()
-        return False
-
-    return chosen if extend(0, 0) else None
+    picks: list[int] = []  # picks[i]: the index in options[i] of conflict i's cycle
+    used = [0]  # used[i]: the edges the cycles of the first i picks cover
+    start = 0  # the first option to try for the next conflict
+    while len(picks) < len(options):
+        row = options[len(picks)]
+        for j in range(start, len(row)):
+            mask = row[j].edge_mask
+            if not used[-1] & mask:
+                picks.append(j)
+                used.append(used[-1] | mask)
+                start = 0
+                break
+        else:
+            if not picks:
+                return None
+            start = picks.pop() + 1
+            used.pop()
+    return [row[j] for row, j in zip(options, picks)]
 
 
 def solve_distance2(cg: ColoredGraph, L: ListAssignment) -> SolveResult:

@@ -1,11 +1,15 @@
 """Command-line workflows driven in process through main(argv)."""
 
+import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 import dsgraph as dg
-from dsgraph.cli import main
+from dsgraph.cli import FAMILIES, main
 from tests.conftest import oracle_cycle_census
 from tests.test_neighborhood_kernel import BUILDERS
 
@@ -86,6 +90,20 @@ def test_construct_product_from_files(tmp_path, capsys, monkeypatch):
     assert code == 2 and "80 edges, above cap 79" in err
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_construct_requires_each_flag_of_its_family(family, tmp_path, capsys):
+    flags, _ = FAMILIES[family]
+    values = {"d": "2", "t": "1", "k": "1", "orders": "2", "gens": "1"}
+    out = tmp_path / "x.json"
+    for missing in flags:
+        given = [a for f in flags if f != missing
+                 for a in (f"--{f}", values.get(f, str(out)))]
+        code, _, err = run(capsys, "construct", "--family", family, *given,
+                           "--out", str(out))
+        assert (code, err) == (2, f"error: --{missing} is required for {family}\n")
+        assert not out.exists()
+
+
 def test_full_distance2_pipeline(tmp_path, capsys):
     f = str(tmp_path / "q3.json")
     run(capsys, "construct", "--family", "hypercube", "--d", "3", "--out", f)
@@ -100,6 +118,22 @@ def test_full_distance2_pipeline(tmp_path, capsys):
     data = json.loads(open(f).read())
     assert data["report"]["mode"] == "theorem2"
     assert "solution" in data
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--beta", "1/4", "--distance2"), "not allowed with argument"),
+    ((), "one of the arguments --beta --distance2 is required"),
+])
+def test_gen_lists_takes_exactly_one_of_beta_and_distance2(flags, message, tmp_path,
+                                                           capsys):
+    f = tmp_path / "q3.json"
+    run(capsys, "construct", "--family", "hypercube", "--d", "3", "--out", str(f))
+    before = f.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-lists", str(f), *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert f.read_bytes() == before
 
 
 def test_gen_lists_reports_the_edge_ball_cap(tmp_path, capsys, monkeypatch):
@@ -136,6 +170,25 @@ def test_solve_auto_falls_back_to_theorem1_on_sparse_lists(tmp_path, capsys):
                        "--out", str(tmp_path / "theorem2.json"))
     assert code == 2
     assert err == "error: listed edges must form a distance-2 matching\n"
+
+
+def test_solve_and_verify_a_thousand_conflicts_on_q12(tmp_path, capsys):
+    # 1024 color-1 edges (x, x|1) with x >> 1 of even weight form a distance-2
+    # matching; each forbids its own color, so the disjoint search decides
+    # 1024 conflicts in a row, past Python's recursion limit
+    f = tmp_path / "q12.json"
+    run(capsys, "construct", "--family", "hypercube", "--d", "12", "--out", str(f))
+    data = json.loads(f.read_text())
+    index = {tuple(uv): e for e, uv in enumerate(data["edges"])}
+    data["lists"] = {str(index[x, x | 1]): [1] for x in range(0, 4096, 2)
+                     if (x >> 1).bit_count() % 2 == 0}
+    assert len(data["lists"]) == 1024
+    assert {data["coloring"][int(e)] for e in data["lists"]} == {1}
+    f.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "solve", str(f))
+    assert (code, out) == (0, f"solved (theorem2): 1024 swaps, verified -> {f}\n")
+    code, out, _ = run(capsys, "verify", str(f))
+    assert (code, out) == (0, "verified: proper and avoids every list\n")
 
 
 def test_solve_failure_writes_report_and_exits_1(tmp_path, capsys):
@@ -459,3 +512,88 @@ def test_sweep_timing_flag_fills_the_column(tmp_path, capsys):
     row = open(f).read().splitlines()[1]
     assert not row.endswith(",")
     float(row.rsplit(",", 1)[1])
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("args,digest", [
+    (("--families", "hypercube:4,complete_bipartite_pow2:2", "--beta-grid", "0,1/8",
+      "--seeds", "3"),
+     "522db4e6d286b81705c73ecf74010f4d7ee2074098c564fbb76f4783c8f0c1c6"),
+    (("--families", "hypercube:3,complete_bipartite_pow2:2", "--beta-grid", "0,1/4",
+      "--seeds", "3", "--gamma", "1/4", "--tau", "3/4", "--epsilon", "3/4",
+      "--trials", "16"),
+     "c192007b79d97750fe4b4edd09de9fd6fc15d4792e73e00e60e6a3526b14eef2"),
+])
+def test_sweep_token_csvs_keep_their_bytes(args, digest, tmp_path, capsys):
+    f = tmp_path / "s.csv"
+    assert run(capsys, "sweep", *args, "--out", str(f))[0] == 0
+    assert _sha256(f) == digest
+
+
+def test_sweep_takes_instance_files(tmp_path, capsys):
+    q4, k44, prod, cay = (str(tmp_path / x) for x in ("q4.json", "k44.json", "p.json",
+                                                        "c.json"))
+    run(capsys, "construct", "--family", "hypercube", "--d", "4", "--out", q4)
+    run(capsys, "construct", "--family", "complete_bipartite_pow2", "--t", "2", "--out", k44)
+    run(capsys, "construct", "--family", "cartesian_product", "--left", q4, "--right", k44,
+        "--out", prod)
+    run(capsys, "construct", "--family", "cayley_abelian", "--orders", "4,2",
+        "--gens", "1,0;0,1", "--out", cay)
+    # lists stored in a file are ignored: sweep draws its own for each beta and seed
+    run(capsys, "gen-lists", cay, "--beta", "1")
+    f = str(tmp_path / "s.csv")
+    code, out, _ = run(capsys, "sweep", "--families", f"{prod},{cay},hypercube:3",
+                       "--beta-grid", "0", "--seeds", "2", "--out", f)
+    assert code == 0
+    assert out.splitlines() == ["beta=0: verified 6/6", f"6 rows -> {f}"]
+    rows = [r.split(",") for r in open(f).read().splitlines()[1:]]
+    assert [r[:4] for r in rows] == [[prod, "128", "8", "8"]] * 2 + [[cay, "8", "3", "3"]] * 2 \
+        + [["hypercube:3", "8", "3", "3"]] * 2
+    # a token row and a file row of the same graph agree past the label
+    q3 = str(tmp_path / "q3.json")
+    run(capsys, "construct", "--family", "hypercube", "--d", "3", "--out", q3)
+    g = str(tmp_path / "q3.csv")
+    code, _, _ = run(capsys, "sweep", "--families", q3, "--beta-grid", "0", "--seeds", "2",
+                     "--out", g)
+    assert code == 0
+    assert [r.split(",")[1:] for r in open(g).read().splitlines()[1:]] \
+        == [r[1:] for r in rows[4:]]
+
+
+def test_sweep_refuses_a_family_with_more_than_one_flag(tmp_path, capsys):
+    f = tmp_path / "s.csv"
+    code, _, err = run(capsys, "sweep", "--families", "remove_standard_matchings:2",
+                       "--beta-grid", "0", "--out", str(f))
+    assert code == 2
+    assert "pass the instance file" in err
+    assert not f.exists()
+
+
+def test_sweep_missing_file_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "s.csv"
+    code, _, err = run(capsys, "sweep", "--families", str(tmp_path / "none.json"),
+                       "--beta-grid", "0", "--out", str(f))
+    assert code == 2
+    assert err.startswith("error:") and "none.json" in err
+    assert not f.exists()
+
+
+def readme_cli_lines() -> list[str]:
+    """The ``dsgraph`` commands of README's CLI block, backslash continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?^```\n(.*?)^```", text, re.S | re.M).group(1)
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("dsgraph ")]
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    lines = readme_cli_lines()
+    assert len(lines) >= 9
+    assert any(re.search(r"sweep --families \S*\.json", line) for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, _, err = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)

@@ -266,6 +266,43 @@ def test_solve_distance2_solves_archived_exhaustion_inputs():
         assert dg.verify_solution(cg, res.coloring, inst.lists), path.name
 
 
+def recursive_disjoint_cycle_system(cg, f, L):
+    """The recursive backtracking search the explicit stack replaced."""
+    options = [allowed for _, _, allowed in
+               dg.solver._candidates(cg, f, L, dg.conflict_edges(cg.graph, f, L))]
+    chosen = []
+
+    def extend(i, used):
+        if i == len(options):
+            return True
+        for cyc in options[i]:
+            if not used & cyc.edge_mask:
+                chosen.append(cyc)
+                if extend(i + 1, used | cyc.edge_mask):
+                    return True
+                chosen.pop()
+        return False
+
+    return chosen if extend(0, 0) else None
+
+
+def test_disjoint_cycle_system_keeps_the_recursive_search_order():
+    # the archived inputs backtrack and fail under the identity; the seeded
+    # Q3/Q4 lists cover successes, each under the first permutation trials
+    inputs = [(cg := dg.to_colored_graph(inst := dg.load_instance(p)), inst.lists)
+              for p in sorted(ARTIFACTS.glob("*.json"))]
+    inputs += [(cg, dg.generate_distance2(cg, seed, cg.s_measured - 1))
+               for cg in (dg.hypercube(3), dg.hypercube(4)) for seed in range(20)]
+    outcomes = set()
+    for cg, L in inputs:
+        for images in dg.RandomSearch(trials=6, seed=1).candidates(cg.d):
+            f = dg.apply_permutation(cg.coloring, dg.Permutation(images))
+            got = dg.solver._disjoint_cycle_system(cg, f, L)
+            assert got == recursive_disjoint_cycle_system(cg, f, L)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 def test_verify_solution_cases(q3):
     g, h = q3.graph, q3.coloring
     assert dg.verify_solution(q3, h, dg.EMPTY)

@@ -99,7 +99,8 @@ def cmd_analyze(args) -> int:
     for c in f.colors:
         sizes[c] += 1
     table = color_table(g, f)  # f is proper: certified above
-    counts = [len(_cycle_tuples(g, f.colors, f.d, e, table)) for e in range(g.m)]
+    counts = [len(_cycle_tuples(g, f.colors, range(1, f.d + 1), e, table))
+              for e in range(g.m)]
     info = {
         "n": g.n,
         "d": cg.d,
@@ -125,6 +126,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gen_lists(args) -> int:
+    _require(args.distance2 or args.max_list is None,
+             "--max-list applies only to --distance2")
     inst, cg = _load(args.file)
     if args.distance2:
         max_list = args.max_list if args.max_list is not None else cg.s_measured - 1
@@ -286,7 +289,12 @@ def _sweep_family(token: str):
     flags, build = FAMILIES[name]
     _require(len(flags) == 1, f"{name} takes more than one flag: construct it "
                               f"and pass the instance file to sweep")
-    return token, build(argparse.Namespace(**{flags[0]: int(arg)}))
+    try:
+        value = int(arg)
+    except ValueError:
+        raise ValueError(f"family token {token!r}: expected {name}:N "
+                         f"with an integer N") from None
+    return token, build(argparse.Namespace(**{flags[0]: value}))
 
 
 def cmd_sweep(args) -> int:

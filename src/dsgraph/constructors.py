@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 from .errors import (CertificationFailed, ClaimDiscrepancyWarning, InvalidCayleySpec,
                      InvalidK, ResourceLimit)
-from .graph_core import (EdgeColoring, Graph, _cycle_tuples, color_table, compute_s,
-                         properness_witness, standard_matchings)
+from .graph_core import (EdgeColoring, Graph, compute_s, properness_witness,
+                         standard_matchings)
 
 HYPERCUBE_DIM_CAP = 16
 BIPARTITE_T_CAP = 7
@@ -59,34 +59,9 @@ class ColoredGraph:
     s_claimed: int
     s_measured: int
     family: dict = field(repr=False)
-    # per edge, None or its flat ``standard_cycles`` entry; init=False, so
-    # dataclasses.replace gives the new graph an empty memo
-    _cycle_memo: list = field(default_factory=list, init=False, repr=False)
-    # the ``class_masks``, empty until the first call; init=False as above
+    # the ``class_masks``, empty until the first call; init=False, so
+    # dataclasses.replace gives the new graph an empty one
     _class_masks: list = field(default_factory=list, init=False, repr=False)
-
-    def standard_cycles(self, edges) -> list[tuple[int, ...]]:
-        """For each edge in ``edges``, its ``_cycle_tuples`` under the standard
-        coloring flattened into one tuple (c, e_vz, e_tu, partner, c, ...).
-
-        The tuple of an edge is computed on its first request and kept, so
-        every later solve on this graph reads it from the memo.
-        """
-        memo = self._cycle_memo
-        if not memo:
-            memo.extend([None] * self.graph.m)
-        g, h = self.graph, self.coloring
-        table = None
-        out = []
-        for e in edges:
-            flat = memo[e]
-            if flat is None:
-                if table is None:
-                    table = color_table(g, h)
-                flat = memo[e] = tuple(itertools.chain.from_iterable(
-                    _cycle_tuples(g, h.colors, h.d, e, table)))
-            out.append(flat)
-        return out
 
     def class_masks(self) -> list[int]:
         """The color classes of the standard coloring as edge bitmasks, index

@@ -35,10 +35,10 @@ the far end of an edge (x, y) at v is x + y - v.
 The partner is read off the same table: when ``table[z][a]`` and
 ``table[t][a]`` name one edge, that a-colored edge joins z and t. That cycle
 test lives in one place, ``_cycle_tuples``, which returns plain
-(c, e_vz, e_tu, partner) tuples in O(d) work per edge:
-``two_colored_cycles_through`` wraps them into ``FourCycle``s, and phase
-one's checker reads them raw from the per-graph memo
-``ColoredGraph.standard_cycles``.
+(c, e_vz, e_tu, partner) tuples for the second colors c it is given, in
+O(1) work per color: ``two_colored_cycles_through`` tries every color and
+wraps the tuples into ``FourCycle``s, and phase one's checker tries, per
+forbidden color of a listed edge, the one color whose cycle it can block.
 
 The census behind the certified s, ``compute_s``, needs only how many
 cycles pass through each edge, so on a proper, total coloring it counts per
@@ -247,9 +247,13 @@ class EdgeColoring:
     d: int
 
     def __post_init__(self):
-        for i, c in enumerate(self.colors):
-            if not (0 <= c <= self.d):
-                raise ValueError(f"color {c} at edge {i} outside 0..{self.d}")
+        # range-checked at C level over the distinct colors; the ordered scan
+        # runs only to name the first bad one
+        present = set(self.colors)
+        if present and not (0 <= min(present) and max(present) <= self.d):
+            for i, c in enumerate(self.colors):
+                if not (0 <= c <= self.d):
+                    raise ValueError(f"color {c} at edge {i} outside 0..{self.d}")
 
     def __getitem__(self, e: int) -> int:
         return self.colors[e]
@@ -366,9 +370,10 @@ def color_table(g: Graph, f: EdgeColoring) -> list[list[int]]:
     return table
 
 
-def _cycle_tuples(g: Graph, colors, d: int, e: int,
+def _cycle_tuples(g: Graph, colors, seconds, e: int,
                   table: list[list[int]]) -> list[tuple[int, int, int, int]]:
-    """(c, e_vz, e_tu, partner) for each two-colored 4-cycle through e, ascending c.
+    """(c, e_vz, e_tu, partner) for each two-colored 4-cycle through e whose
+    second color c is in ``seconds``, in the order of ``seconds``.
 
     The one cycle test: the c-colored edges at v and u must both exist, end in
     distinct vertices z and t, and zt must exist and carry e's color a. When
@@ -381,7 +386,7 @@ def _cycle_tuples(g: Graph, colors, d: int, e: int,
     a = colors[e]
     at_u, at_v = table[u], table[v]
     out = []
-    for c in range(1, d + 1):
+    for c in seconds:
         if c == a:
             continue
         ez = at_v[c]
@@ -418,7 +423,7 @@ def two_colored_cycles_through(g: Graph, f: EdgeColoring, e: int,
     u, v = edges[e]
     a = f.colors[e]
     out = []
-    for c, ez, et, partner in _cycle_tuples(g, f.colors, f.d, e, table):
+    for c, ez, et, partner in _cycle_tuples(g, f.colors, range(1, f.d + 1), e, table):
         x, y = edges[ez]
         z = x + y - v
         x, y = edges[et]
@@ -472,7 +477,8 @@ def compute_s(g: Graph, f: EdgeColoring) -> int:
     rows = _partner_rows(g, colors, d) if d * sink <= 4 * g.m else None
     if rows is None:
         table = color_table(g, f)
-        return 1 + min(len(_cycle_tuples(g, colors, d, e, table)) for e in range(g.m))
+        return 1 + min(len(_cycle_tuples(g, colors, range(1, d + 1), e, table))
+                       for e in range(g.m))
     for width, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")):  # memoryview formats
         if d < 256 ** width:
             break

@@ -169,6 +169,12 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
     Visits (edge, color) pairs in a seeded shuffle and admits a pair exactly
     when all three conditions survive the addition. The result is maximal for
     the visit order but not globally maximum.
+
+    The scan stops once no later pair can be admitted. An anchor at cap for a
+    key k = (matching, color) refuses k to every edge of its W6, so when an
+    admission under k brings the admitted edge's own anchor to cap, all of
+    its W6 is dead for k. Once the dead edges of every key of a nonempty
+    matching cover that matching's class, the rest of the shuffle is skipped.
     """
     g, h, d = cg.graph, cg.coloring, cg.d
     beta = Fraction(beta)
@@ -189,6 +195,11 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
     # matching * d + c - 1 -> bit-sliced counts of admitted pairs per anchor
     # W6; the top level holds the anchors already at cap
     levels: dict[int, list[int]] = {}
+    # the same key -> the edges known dead for it; live counts the keys whose
+    # class those do not cover yet
+    dead: dict[int, int] = {}
+    classes = cg.class_masks()
+    live = d * sum(1 for mask in classes if mask)
     for p in pairs:
         e = p // d
         if sizes[e] >= cap:
@@ -215,6 +226,13 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
             if cnt >= cap:
                 full[w] |= bit
         add_count(counts, w6)
+        if counts[-1] >> e & 1:
+            dead[k] = mask = dead.get(k, 0) | w6
+            cls = classes[colors[e] - 1]
+            if mask & cls == cls:
+                live -= 1
+                if not live:
+                    break
     return ListAssignment({e: frozenset(cs) for e, cs in lists.items()})
 
 

@@ -31,7 +31,7 @@ from .errors import (PermutationBudgetExceeded, PermutationNotFound,
                      SwapPlanStuck)
 # is_proper, swap_cycle and t_neighborhood are unused here but wrapped by
 # perfbench/tracing.py.
-from .graph_core import (EdgeColoring, FourCycle, Graph, apply_swaps,
+from .graph_core import (EdgeColoring, FourCycle, Graph, _cycle_tuples, apply_swaps,
                          color_table, is_proper, properness_witness, swap_cycle,
                          t_neighborhood, two_colored_cycles_through)
 from .list_assignments import (ListAssignment, _check_colors, _crowded, conflict_edges,
@@ -166,59 +166,37 @@ class PermutationCheck:
 class _Checker:
     """Precomputed structures for evaluating many permutations on one instance.
 
-    Cycle structure does not depend on the permutation (recoloring permutes
-    cycle colors but not the cycles themselves), so the cycles through listed
-    edges are read once under h, from ``ColoredGraph.standard_cycles``: the
-    graph memoizes each edge's ``graph_core._cycle_tuples``, so later solves
-    on it enumerate nothing. A cycle with no listed edge can never be blocked
-    and gives no entry. Every other cycle is handled once, from its least
-    listed edge (an edge with an empty list counts as listed), and gives one
-    entry in ``cycles``: (own color - 1, other color - 1, blocks own,
-    blocks other, e, partner, e_vz, e_tu), the two blocker sets as bitmasks
-    over colors, which are ``_swap_allowed`` precomputed for every image: rho
-    blocks the cycle when rho(own) is in blocks own or rho(other) in blocks
-    other. A swap is blocked for all four of its edges or for none, so
-    a trial tests each entry once and counts a blocked one against its four
-    edges; (c) is then checked per edge, in ascending edge order. ``hits``
-    names the listed edges that conflict for each (matching, image) pair, so
-    (b) and (a) read only the conflict edges, through the lazy count of
-    (ii) and (iii), ``list_assignments._crowded``. Integer counts are
-    compared against floor(gamma*s) and floor(tau*s), which decides
-    exactly as the Fractions would.
+    ``hits`` names the listed edges that conflict for each (matching, image)
+    pair, so (b) and (a) read only the conflict edges, through the lazy count
+    of (ii) and (iii), ``list_assignments._crowded``. (c) is read from the
+    lists too. Swapping a two-colored 4-cycle gives each of its edges the
+    image of the cycle's other color, so a forbidden color x of a listed edge
+    e with x != rho(h(e)) blocks exactly one cycle through e: the one whose
+    second color under h is rho^-1(x), which ``graph_core._cycle_tuples``
+    looks up in the standard ``color_table`` (built when a trial first
+    reaches (c)). A cycle met from several listed edges counts once, against
+    each of its four edges, and (c) is then checked per edge, in ascending
+    edge order. A trial's (c) thus costs O(sum of the list sizes), and the
+    build enumerates no cycle. Integer counts are compared against
+    floor(gamma*s) and floor(tau*s), which decides exactly as the Fractions
+    would.
     """
 
     def __init__(self, cg: ColoredGraph, L: ListAssignment, params: SolverParams):
-        g, colors = cg.graph, cg.coloring.colors
-        _check_colors(L, g, cg.d)
+        colors = cg.coloring.colors
+        _check_colors(L, cg.graph, cg.d)
         self.gs = math.floor(params.gamma_s)
         self.ts = math.floor(params.tau_s)
         self.cg = cg
+        self.table: list[list[int]] | None = None
         lists = L.lists
-        supp = sorted(lists)
         # hits[m - 1][x]: the listed edges of matching m whose list holds x,
         # ascending; they conflict exactly when rho maps m to x
         self.hits: list[dict[int, list[int]]] = [{} for _ in range(cg.d)]
-        listed = bytearray(g.m)
-        masks = [0] * g.m  # each list as a bitmask over colors
-        for e in supp:
-            listed[e] = 1
+        for e in sorted(lists):
             hit = self.hits[colors[e] - 1]
             for x in lists[e]:
                 hit.setdefault(x, []).append(e)
-                masks[e] |= 1 << x
-        cycles = []
-        for e, flat in zip(supp, cg.standard_cycles(supp)):
-            ia = colors[e] - 1
-            own = masks[e]
-            it = iter(flat)
-            for c, ez, et, partner in zip(it, it, it, it):
-                # an earlier listed edge of this cycle already gave its entry
-                if ((ez < e and listed[ez]) or (et < e and listed[et])
-                        or (partner < e and listed[partner])):
-                    continue
-                cycles.append((ia, c - 1, masks[ez] | masks[et], own | masks[partner],
-                               e, partner, ez, et))
-        self.cycles = cycles
 
     def accepts(self, rho: Permutation) -> bool:
         return next(self.witnesses(rho), None) is None
@@ -232,24 +210,28 @@ class _Checker:
     def witnesses(self, rho: Permutation):
         """Yield ("b" | "a" | "c", witness) lazily: (b) by vertex, then (a) by
         matching and anchor, then (c) by edge, each in ascending order."""
-        gs, ts = self.gs, self.ts
+        cg, gs, ts = self.cg, self.gs, self.ts
         images = rho.images
         # each matching's conflict edges, all under color 0
         conf = {(m, 0): hit[x] for m, (x, hit) in enumerate(zip(images, self.hits), 1)
                 if x in hit}
-        for kind, witness, cnt in _crowded(self.cg, conf, gs):
+        for kind, witness, cnt in _crowded(cg, conf, gs):
             yield "b" if kind == "ii" else "a", (*witness[:-1], cnt)  # drop color 0
-        bits = [1 << x for x in images]
-        bad: Counter = Counter()
-        blocked = 0
-        for ia, ib, blocks_a, blocks_b, e, partner, ez, et in self.cycles:
-            if blocks_a & bits[ia] or blocks_b & bits[ib]:
-                blocked += 1
-                bad[e] += 1
-                bad[partner] += 1
-                bad[ez] += 1
-                bad[et] += 1
-        if blocked > ts:  # otherwise no edge lies in more than ts blocked cycles
+        g, colors = cg.graph, cg.coloring.colors
+        if self.table is None:
+            self.table = color_table(g, cg.coloring)
+        inverse = rho.inverse().images
+        blocked = set()  # each blocked cycle as its four edges, sorted
+        for image, hit in zip(images, self.hits):
+            for x, group in hit.items():
+                if x != image:  # x = rho(m) makes the group conflicts, not blocks
+                    seconds = (inverse[x - 1],)
+                    for e in group:
+                        for _, ez, et, partner in _cycle_tuples(g, colors, seconds, e,
+                                                                self.table):
+                            blocked.add(tuple(sorted((e, ez, et, partner))))
+        if len(blocked) > ts:  # otherwise no edge lies in more than ts blocked cycles
+            bad = Counter(itertools.chain.from_iterable(blocked))
             for e in sorted(e for e, cnt in bad.items() if cnt > ts):
                 yield "c", (e, bad[e])
 

@@ -136,6 +136,15 @@ def test_gen_lists_takes_exactly_one_of_beta_and_distance2(flags, message, tmp_p
     assert f.read_bytes() == before
 
 
+def test_gen_lists_refuses_max_list_without_distance2(tmp_path, capsys):
+    f = tmp_path / "q4.json"
+    run(capsys, "construct", "--family", "hypercube", "--d", "4", "--out", str(f))
+    before = f.read_bytes()
+    code, out, err = run(capsys, "gen-lists", str(f), "--beta", "1/4", "--max-list", "3")
+    assert (code, out, err) == (2, "", "error: --max-list applies only to --distance2\n")
+    assert f.read_bytes() == before
+
+
 def test_gen_lists_reports_the_edge_ball_cap(tmp_path, capsys, monkeypatch):
     f = str(tmp_path / "q4.json")
     run(capsys, "construct", "--family", "hypercube", "--d", "4", "--out", f)
@@ -569,6 +578,17 @@ def test_sweep_refuses_a_family_with_more_than_one_flag(tmp_path, capsys):
                        "--beta-grid", "0", "--out", str(f))
     assert code == 2
     assert "pass the instance file" in err
+    assert not f.exists()
+
+
+@pytest.mark.parametrize("token", ["hypercube", "hypercube:x", "complete_bipartite_pow2:"])
+def test_sweep_names_a_family_token_without_an_integer(token, tmp_path, capsys):
+    f = tmp_path / "s.csv"
+    code, _, err = run(capsys, "sweep", "--families", token, "--beta-grid", "0",
+                       "--out", str(f))
+    name = token.partition(":")[0]
+    assert (code, err) == (2, f"error: family token {token!r}: expected {name}:N "
+                              f"with an integer N\n")
     assert not f.exists()
 
 

@@ -1,7 +1,6 @@
 """Graph families and their certified cycle-count parameters."""
 
 import dataclasses
-import random
 import tracemalloc
 import warnings
 
@@ -11,7 +10,6 @@ import dsgraph as dg
 from dsgraph import constructors, graph_core
 from dsgraph.constructors import (BIPARTITE_T_CAP, CAYLEY_ORDER_CAP,
                                   HYPERCUBE_DIM_CAP)
-from dsgraph.graph_core import _cycle_tuples
 from dsgraph.instance_io import from_json_dict
 from tests.test_neighborhood_kernel import BUILDERS
 
@@ -366,46 +364,6 @@ def test_family_metadata_records_provenance(k44):
     assert out.family["name"] == "remove_standard_matchings"
     assert out.family["base"]["name"] == "complete_bipartite_pow2"
     assert out.family["params"]["removed_colors"] == [4]
-
-
-def unflatten(flat):
-    return [tuple(flat[i:i + 4]) for i in range(0, len(flat), 4)]
-
-
-@pytest.mark.parametrize("label", sorted(BUILDERS))
-def test_standard_cycles_memo_holds_the_cycle_tuples(label):
-    cg = BUILDERS[label]()
-    g, h = cg.graph, cg.coloring
-    table = dg.color_table(g, h)
-    assert cg._cycle_memo == []
-    order = list(range(g.m))
-    random.Random(label).shuffle(order)
-    half = order[:g.m // 2]
-    first = cg.standard_cycles(half)
-    assert sum(flat is not None for flat in cg._cycle_memo) == len(set(half))
-    for e, flat in zip(half, first):
-        assert unflatten(flat) == _cycle_tuples(g, h.colors, h.d, e, table)
-        assert cg._cycle_memo[e] is flat
-    # a second request reads the kept tuples and fills the rest
-    again = cg.standard_cycles(order)
-    assert all(a is b for a, b in zip(first, again))
-    assert [unflatten(cg._cycle_memo[e]) for e in range(g.m)] == \
-        [_cycle_tuples(g, h.colors, h.d, e, table) for e in range(g.m)]
-
-
-def test_replace_starts_an_empty_memo():
-    q4 = dg.hypercube(4)
-    q4.standard_cycles(range(q4.graph.m))
-    images = list(range(1, q4.d + 1))
-    random.Random(4).shuffle(images)
-    f = dg.apply_permutation(q4.coloring, dg.Permutation(tuple(images)))
-    f = dg.apply_swaps(f, dg.two_colored_cycles_through(q4.graph, f, 0)[:1])
-    recolored = dataclasses.replace(q4, coloring=f)
-    assert recolored._cycle_memo == []
-    table = dg.color_table(q4.graph, f)
-    assert [unflatten(flat) for flat in recolored.standard_cycles(range(q4.graph.m))] == \
-        [_cycle_tuples(q4.graph, f.colors, f.d, e, table) for e in range(q4.graph.m)]
-    assert all(flat is not None for flat in q4._cycle_memo)
 
 
 @pytest.mark.parametrize("label", sorted(BUILDERS))

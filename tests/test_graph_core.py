@@ -137,6 +137,30 @@ def test_is_proper_and_is_total(q3):
         dg.is_proper(g, dg.EdgeColoring(h.colors[:-1], h.d))
 
 
+@pytest.mark.parametrize("colors,d,message", [
+    ((1, 5, 0, 7), 4, "color 5 at edge 1 outside 0..4"),
+    ((1, 2, -1, 9), 4, "color -1 at edge 2 outside 0..4"),
+    ((0, 0, 3), 2, "color 3 at edge 2 outside 0..2"),
+    ((1,), 0, "color 1 at edge 0 outside 0..0"),
+])
+def test_edge_coloring_names_its_first_color_out_of_range(colors, d, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dg.EdgeColoring(colors, d)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(min_value=-2, max_value=6), max_size=8),
+       st.integers(min_value=0, max_value=4))
+def test_edge_coloring_range_check_matches_the_ordered_scan(colors, d):
+    bad = next((f"color {c} at edge {i} outside 0..{d}"
+                for i, c in enumerate(colors) if not 0 <= c <= d), None)
+    if bad is None:
+        assert dg.EdgeColoring(tuple(colors), d).colors == tuple(colors)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
+            dg.EdgeColoring(tuple(colors), d)
+
+
 def ref_properness_witness(g, f):
     """The ordered scan alone: the first vertex slot written twice."""
     seen = [{} for _ in range(g.n)]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsgraph as dg
+from dsgraph import list_assignments
 from dsgraph.instance_io import from_json_dict
 from dsgraph.list_assignments import _shuffle
 from tests.conftest import ref_generate_sparse
@@ -124,7 +125,8 @@ def test_local_shuffle_makes_the_draws_of_random_shuffle(n):
         assert local.getrandbits(64) == lib.getrandbits(64)
 
 
-FAMILY_BUILDERS = {**BUILDERS, "K16,16": lambda: dg.complete_bipartite_pow2(4),
+FAMILY_BUILDERS = {**BUILDERS, "Q7": lambda: dg.hypercube(7),
+                   "K16,16": lambda: dg.complete_bipartite_pow2(4),
                    "Q4xK4,4": lambda: dg.cartesian_product(dg.hypercube(4),
                                                            dg.complete_bipartite_pow2(2))}
 
@@ -142,6 +144,45 @@ def test_generate_sparse_matches_the_tuple_shuffle_reference(label):
             # and each frozenset iterates as the reference's does
             assert [tuple(cs) for cs in L.lists.values()] == \
                 [tuple(cs) for cs in ref.lists.values()]
+
+
+SCAN_LABELS = ["Q5", "Q6", "Q7", "K8,8", "K16,16", "Q4xK4,4", "2xC4"]
+_scan_graphs: dict = {}
+
+
+def scan_graph(label):
+    if label not in _scan_graphs:
+        _scan_graphs[label] = FAMILY_BUILDERS[label]()
+    return _scan_graphs[label]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(SCAN_LABELS), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_generate_sparse_stops_at_saturation_with_the_reference_lists(label, k, seed):
+    cg = scan_graph(label)
+    beta = Fraction(k, cg.s_measured)
+    L = dg.generate_sparse(cg, beta, seed)
+    ref = ref_generate_sparse(cg, beta, seed)
+    assert list(L.items()) == list(ref.items())
+    assert [tuple(cs) for cs in L.lists.values()] == [tuple(cs) for cs in ref.lists.values()]
+
+
+def test_generate_sparse_scan_stops_early_on_q7(monkeypatch):
+    # every pair past the first quarter of the shuffle is replaced by None,
+    # which fails as soon as the scan reads it
+    shuffle = list_assignments._shuffle
+
+    def first_quarter(rng, x):
+        shuffle(rng, x)
+        x[len(x) // 4:] = [None] * (len(x) - len(x) // 4)
+
+    cg = scan_graph("Q7")
+    monkeypatch.setattr(list_assignments, "_shuffle", first_quarter)
+    for k in (1, 2, 3):
+        for seed in range(5):
+            L = dg.generate_sparse(cg, Fraction(k, 7), seed)
+            assert L == ref_generate_sparse(cg, Fraction(k, 7), seed)
 
 
 def test_generate_sparse_state_grows_with_the_pairs_met_not_with_d():

@@ -99,7 +99,7 @@ def cmd_analyze(args) -> int:
     for c in f.colors:
         sizes[c] += 1
     table = color_table(g, f)  # f is proper: certified above
-    counts = [len(_cycle_tuples(g, f.colors, range(1, f.d + 1), e, table))
+    counts = [len(_cycle_tuples(g, f.colors, range(1, f.d + 1), e, table, True))
               for e in range(g.m)]
     info = {
         "n": g.n,

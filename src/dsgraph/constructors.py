@@ -4,9 +4,13 @@ Every constructor lists its colored edges as ((u, v), color) items and ends
 in one call to ``_build``, which sorts them into a Graph and its coloring
 and hands both to ``_certify``. ``_certify`` is the one path to a certified
 ColoredGraph, also for a loaded file (``instance_io.to_colored_graph``): it
-checks properness, naming the two edges that share a color when that fails,
-and takes the measured s from a fresh cycle census (compute_s); the claimed
-s of the underlying construction is stored alongside. All constructors except
+makes one pass over the (vertex, color) slots, and takes the measured s from
+a fresh cycle census (compute_s); the claimed s of the underlying
+construction is stored alongside. On a palette of at most twice the average
+degree that pass builds the census's partner rows, which refuse a repeated
+slot, so properness comes from them; only when they refuse, or on a wider
+palette, does ``properness_witness`` scan the edges, and it names the two
+edges that share a color. All constructors except
 cayley_abelian treat a measured value below the claim as a bug and raise;
 cayley_abelian records the shortfall and warns instead, because its claim is
 known not to hold on every admissible input (see the Z_6 regression in the
@@ -23,8 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import (CertificationFailed, ClaimDiscrepancyWarning, InvalidCayleySpec,
                      InvalidK, ResourceLimit)
-from .graph_core import (EdgeColoring, Graph, compute_s, properness_witness,
-                         standard_matchings)
+from .graph_core import EdgeColoring, Graph, _census_rows, compute_s, properness_witness
 
 HYPERCUBE_DIM_CAP = 16
 BIPARTITE_T_CAP = 7
@@ -65,10 +68,13 @@ class ColoredGraph:
 
     def class_masks(self) -> list[int]:
         """The color classes of the standard coloring as edge bitmasks, index
-        c - 1 for color c; built on the first call and kept."""
+        c - 1 for color c; built on the first call, in one pass over the
+        colors, and kept."""
         if not self._class_masks:
-            self._class_masks.extend(sum(1 << e for e in m)
-                                     for m in standard_matchings(self.graph, self.coloring))
+            masks = [0] * (self.coloring.d + 1)
+            for e, c in enumerate(self.coloring.colors):
+                masks[c] |= 1 << e
+            self._class_masks.extend(masks[1:])
         return self._class_masks
 
     @property
@@ -85,18 +91,24 @@ def _certify(graph: Graph, coloring: EdgeColoring, s_claimed: int | None,
              family: dict, strict: bool = True, stacklevel: int = 3) -> ColoredGraph:
     """Check properness and measure s; a claim of None claims the measured value.
 
+    The census rows built for the properness test are handed to compute_s,
+    so the slots are laid out once.
+
     A tolerated shortfall warns ``stacklevel`` frames up, at the caller of
     the public function.
     """
     name = family.get("name") or "instance"  # a loaded file may carry no family
     if len(coloring) != graph.m or not coloring.is_total:  # a hand-built Instance
         raise CertificationFailed(f"{name}: coloring must color each of the {graph.m} edges")
-    witness = properness_witness(graph, coloring)
+    # on a narrow palette the census rows refuse a repeated slot, so the
+    # ordered scan runs only to name it, or on a wide palette, which has no rows
+    rows = _census_rows(graph, coloring)
+    witness = properness_witness(graph, coloring) if rows is None else None
     if witness is not None:
         first, e, c, w = witness
         raise CertificationFailed(f"{name}: coloring is not proper: "
                                   f"edges {first} and {e} share color {c} at vertex {w}")
-    s_measured = compute_s(graph, coloring)
+    s_measured = compute_s(graph, coloring, rows)
     if s_claimed is None:
         s_claimed = s_measured
     if s_measured < s_claimed:

@@ -3,7 +3,10 @@
 Edges are stored as (u, v) pairs with u < v, sorted lexicographically; an
 edge's index in that order is its identity everywhere in the package. All
 distances between edges count edges on a shortest path between endpoints, so
-adjacent (or identical) edges are at distance 0.
+adjacent (or identical) edges are at distance 0. A ``Graph`` builds only its
+edge list and endpoint columns up front; every index over them (the
+per-vertex edge lists, the edge-id lookup, the edge balls) is built on first
+read, so a stage that loads a file and certifies it builds none of them.
 
 Every bounded-distance question goes through one kernel, the per-vertex edge
 ball. E_0(w) is the bitmask of the edges incident to w, and
@@ -42,8 +45,11 @@ forbidden color of a listed edge, the one color whose cycle it can block.
 
 The census behind the certified s, ``compute_s``, needs only how many
 cycles pass through each edge, so on a proper, total coloring it counts per
-color pair, at C level, the vertices where the walk c, a, c, a closes; other
-colorings are counted edge by edge with ``_cycle_tuples``.
+color pair, at C level, the vertices where the walk c, a, c, a closes. The
+partner rows of that count hold each (vertex, color) slot once, so building
+them also tests properness, which is how a certification checks it. Other
+colorings, and palettes much wider than the degree, are counted edge by edge
+with ``_cycle_tuples`` on a table of only the 2m slots that hold an edge.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import eq, itemgetter, ne
@@ -66,24 +72,37 @@ HalfEdgeLayout = tuple[int, dict[int, int], tuple[int, ...], int, int, int, int]
 
 
 class Graph:
-    """Simple undirected graph with canonical edge order and cached edge balls."""
+    """Simple undirected graph with canonical edge order.
+
+    Built eagerly: ``n``, ``edges``, ``m`` and the endpoint columns ``tails``
+    and ``heads``. Built on first read and kept: ``adjacency`` (the oracle,
+    the BFS helper), ``edge_index`` (``_cycle_tuples`` on a coloring that may
+    be improper), ``max_degree``, the edge balls of each radius and the
+    oracle's half-edge layout.
+    """
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         self.n = n
         self.edges = edges
         self.m = len(edges)
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        index: dict[tuple[int, int], int] = {}
-        for i, (u, v) in enumerate(edges):
-            adjacency[u].append(i)
-            adjacency[v].append(i)
-            index[(u, v)] = i
-        self.adjacency = tuple(tuple(a) for a in adjacency)
-        self.edge_index = index
         # the endpoint columns: edge e is (tails[e], heads[e])
         self.tails, self.heads = tuple(zip(*edges)) or ((), ())
         self._balls: dict[int, tuple[int, ...]] = {}
         self._half_edges: HalfEdgeLayout | None = None
+
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the ids of its edges, ascending; built on first read."""
+        adjacency: list[list[int]] = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.edges):
+            adjacency[u].append(i)
+            adjacency[v].append(i)
+        return tuple(map(tuple, adjacency))
+
+    @functools.cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        """The id of each edge (u, v), u < v; built on first read."""
+        return dict(zip(self.edges, range(self.m)))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -370,18 +389,21 @@ def color_table(g: Graph, f: EdgeColoring) -> list[list[int]]:
     return table
 
 
-def _cycle_tuples(g: Graph, colors, seconds, e: int,
-                  table: list[list[int]]) -> list[tuple[int, int, int, int]]:
+def _cycle_tuples(g: Graph, colors, seconds, e: int, table,
+                  proper: bool = False) -> list[tuple[int, int, int, int]]:
     """(c, e_vz, e_tu, partner) for each two-colored 4-cycle through e whose
     second color c is in ``seconds``, in the order of ``seconds``.
 
     The one cycle test: the c-colored edges at v and u must both exist, end in
     distinct vertices z and t, and zt must exist and carry e's color a. When
     ``table[z][a]`` and ``table[t][a]`` hold the same edge, that edge is zt.
-    Otherwise zt is looked up by its endpoints, which keeps improper
-    colorings exact: there the last writer in a slot can hide zt.
+    On a proper coloring nothing else can be zt; otherwise, unless the
+    caller passes ``proper`` (no vertex sees a color twice), zt is looked up
+    by its endpoints in ``g.edge_index``, which keeps improper colorings
+    exact: there the last writer in a slot can hide zt. ``table`` is a
+    ``color_table`` or any rows that answer -1 for a missing slot.
     """
-    edges, index = g.edges, g.edge_index
+    edges = g.edges
     u, v = edges[e]
     a = colors[e]
     at_u, at_v = table[u], table[v]
@@ -401,7 +423,9 @@ def _cycle_tuples(g: Graph, colors, seconds, e: int,
             continue
         partner = table[z][a]
         if partner < 0 or partner != table[t][a]:
-            partner = index.get((z, t) if z < t else (t, z))
+            if proper:
+                continue
+            partner = g.edge_index.get((z, t) if z < t else (t, z))
             if partner is None or colors[partner] != a:
                 continue
         out.append((c, ez, et, partner))
@@ -451,34 +475,63 @@ def _partner_rows(g: Graph, colors, d: int) -> list[list[int]] | None:
     return rows
 
 
-def compute_s(g: Graph, f: EdgeColoring) -> int:
+def _census_rows(g: Graph, f: EdgeColoring) -> list[list[int]] | None:
+    """The ``_partner_rows`` of f when its palette is narrow (d * n <= 4m),
+    else None.
+
+    d * d * n / 2 lane steps of the per color-pair census against at most
+    m * d for the count edge by edge: a palette of more than twice the
+    average degree is counted edge by edge, and gets no rows. On a narrow
+    palette, None means that f repeats a (vertex, color) slot, leaves an
+    edge uncolored or meets a loop, so building the rows is a properness
+    test as well.
+    """
+    return _partner_rows(g, f.colors, f.d) if f.d * g.n <= 4 * g.m else None
+
+
+class _Slots(dict):
+    """One vertex's row of a sparse color table: color -> edge, -1 if none."""
+
+    __slots__ = ()
+
+    def __missing__(self, c: int) -> int:
+        return -1
+
+
+def compute_s(g: Graph, f: EdgeColoring, rows: list[list[int]] | None = None) -> int:
     """1 + the minimum over edges of the two-colored 4-cycle count.
 
     The certified s of a colored graph: every edge lies in at least s-1
     two-colored 4-cycles. Equals 1 on 4-cycle-free graphs; never exceeds d.
 
     On a proper, total coloring the census runs per color pair, not per
-    edge. With p_c the partner rows of ``_partner_rows``, the walk c, a, c, a
-    from w returns to w exactly when w lies on the a-c cycle u-v-z-t through
-    its a-colored and its c-colored edge, so the fixed points of
-    (p_a o p_c)^2, composed at C level by ``operator.itemgetter``, are the
-    vertices of the a-c cycles. Each pair adds its fixed points to the
-    (vertex, a) and (vertex, c) lanes of one integer per color, and s - 1 is
-    the least lane of a slot that holds an edge. A lane is wide enough for d
-    (the sink lane reaches d - 1). Any other coloring, and a palette of more
-    than twice the average degree, where most pairs would meet nowhere,
-    counts the tuples of ``_cycle_tuples`` edge by edge.
+    edge. With p_c the partner rows of ``_census_rows`` (a caller that has
+    built them passes them as ``rows``), the walk c, a, c, a from w returns
+    to w exactly when w lies on the a-c cycle u-v-z-t through its a-colored
+    and its c-colored edge, so the fixed points of (p_a o p_c)^2, composed
+    at C level by ``operator.itemgetter``, are the vertices of the a-c
+    cycles. Each pair adds its fixed points to the (vertex, a) and
+    (vertex, c) lanes of one integer per color, and s - 1 is the least lane
+    of a slot that holds an edge. A lane is wide enough for d (the sink lane
+    reaches d - 1). Any other coloring, and a wide palette, counts the tuples
+    of ``_cycle_tuples`` edge by edge, on a table of the 2m slots that hold
+    an edge, each edge trying the colors that both its ends see.
     """
     if g.m == 0:
         return 1
-    colors, d, sink = f.colors, f.d, g.n
-    # d * d * n / 2 lane steps against about m * d: a palette of more than
-    # twice the average degree is counted edge by edge
-    rows = _partner_rows(g, colors, d) if d * sink <= 4 * g.m else None
     if rows is None:
-        table = color_table(g, f)
-        return 1 + min(len(_cycle_tuples(g, colors, range(1, d + 1), e, table))
-                       for e in range(g.m))
+        rows = _census_rows(g, f)
+    colors, d, sink = f.colors, f.d, g.n
+    if rows is None:
+        table: defaultdict[int, _Slots] = defaultdict(_Slots)
+        for e, (u, v, c) in enumerate(zip(g.tails, g.heads, colors)):
+            table[u][c] = e
+            table[v][c] = e
+        proper = sum(map(len, table.values())) == 2 * g.m  # no slot written twice
+        # a second color c needs a c-colored edge at both ends of e
+        return 1 + min(len(_cycle_tuples(g, colors, table[u].keys() & table[v].keys() - {0},
+                                         e, table, proper))
+                       for e, (u, v) in enumerate(g.edges))
     for width, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")):  # memoryview formats
         if d < 256 ** width:
             break

@@ -145,6 +145,10 @@ def validate_beta_sparse(cg: ColoredGraph, L: ListAssignment, beta) -> SparsityR
 def _shuffle(rng: random.Random, x: list) -> None:
     """Shuffle x in place with exactly the draws of ``rng.shuffle(x)``.
 
+    The package's one seeded shuffle: both list generators and the solver's
+    random permutation trials call it, so their draws follow this loop, not
+    the interpreter's ``Random._randbelow``.
+
     ``random.Random.shuffle`` swaps x[i] with x[randbelow(i + 1)] for i from
     the top down, and randbelow(n) redraws getrandbits(n.bit_length()) until
     the draw is below n. The loop inlines those calls and walks i in blocks
@@ -252,7 +256,7 @@ def generate_distance2(cg: ColoredGraph, seed: int, max_list: int) -> ListAssign
         return EMPTY
     rng = random.Random(seed)
     order = list(range(g.m))
-    rng.shuffle(order)
+    _shuffle(rng, order)
     # e is admissible iff it lies in no chosen edge's W_1, by symmetry of distance
     blocked = 0
     support: list[int] = []

@@ -34,8 +34,8 @@ from .errors import (PermutationBudgetExceeded, PermutationNotFound,
 from .graph_core import (EdgeColoring, FourCycle, Graph, _cycle_tuples, apply_swaps,
                          color_table, is_proper, properness_witness, swap_cycle,
                          t_neighborhood, two_colored_cycles_through)
-from .list_assignments import (ListAssignment, _check_colors, _crowded, conflict_edges,
-                               support_is_distance2_matching)
+from .list_assignments import (ListAssignment, _check_colors, _crowded, _shuffle,
+                               conflict_edges, support_is_distance2_matching)
 
 EXHAUSTIVE_D_CAP = 8
 # random permutation trials of both solvers, and the CLI's default --trials
@@ -258,7 +258,7 @@ class RandomSearch:
         yield tuple(base)
         rng = random.Random(self.seed)  # most searches stop at the identity
         for _ in range(self.trials - 1):
-            rng.shuffle(base)
+            _shuffle(rng, base)
             yield tuple(base)
 
 

@@ -425,6 +425,18 @@ def oracle_cycle_census(g, f):
     return counts
 
 
+def ref_graph_indexes(g):
+    """(adjacency, edge_index) as ``Graph.__init__`` built them eagerly,
+    before both became cached properties read on first use."""
+    adjacency = [[] for _ in range(g.n)]
+    index = {}
+    for i, (u, v) in enumerate(g.edges):
+        adjacency[u].append(i)
+        adjacency[v].append(i)
+        index[(u, v)] = i
+    return tuple(tuple(a) for a in adjacency), index
+
+
 def _ref_color_array(values, m, d, name):
     if not isinstance(values, list) or len(values) != m:
         raise dg.InvalidInstance(f"{name}: length must equal the number of edges ({m})")

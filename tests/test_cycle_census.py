@@ -204,3 +204,24 @@ def test_census_edge_cases_match_the_reference(label, monkeypatch):
     monkeypatch.setattr(graph_core, "_cycle_tuples", counting)
     assert dg.compute_s(g, f) == expected
     assert (not per_edge) == by_pairs
+
+
+@st.composite
+def arbitrary_colorings(draw):
+    """A random simple graph (isolated vertices and m = 0 included) under
+    random colors in 0..d, with d from 1 up to well past twice the average
+    degree: proper or not, narrow or wide."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), max_size=24)))
+    d = draw(st.integers(min_value=1, max_value=3 * n))
+    colors = draw(st.lists(st.integers(min_value=0, max_value=d),
+                           min_size=len(edges), max_size=len(edges)))
+    return Graph.from_edges(n, edges), dg.EdgeColoring(tuple(colors), d)
+
+
+@settings(deadline=None, max_examples=300)
+@given(arbitrary_colorings())
+def test_census_matches_the_reference_on_arbitrary_colorings(case):
+    g, f = case
+    assert dg.compute_s(g, f) == ref_compute_s(g, f)

@@ -125,6 +125,47 @@ def test_local_shuffle_makes_the_draws_of_random_shuffle(n):
         assert local.getrandbits(64) == lib.getrandbits(64)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=0, max_value=2 ** 64), st.lists(
+    st.integers(min_value=0, max_value=70), min_size=1, max_size=6))
+def test_repeated_shuffles_on_one_rng_match_random_shuffle(seed, lengths):
+    # the permutation trials reshuffle one list in place on one Random, and
+    # generate_distance2 draws randint and sample after its shuffle: each
+    # shuffle must leave both the list and the generator's state as rng.shuffle
+    lib, local = random.Random(seed), random.Random(seed)
+    for n in lengths:
+        expected, got = list(range(n)), list(range(n))
+        for _ in range(3):
+            lib.shuffle(expected)
+            _shuffle(local, got)
+            assert got == expected
+            assert local.getstate() == lib.getstate()
+
+
+def ref_generate_distance2(cg, seed, max_list):
+    """``generate_distance2`` as it stood when it shuffled with ``rng.shuffle``."""
+    g, d = cg.graph, cg.d
+    rng = random.Random(seed)
+    order = list(range(g.m))
+    rng.shuffle(order)
+    blocked, support = 0, []
+    for e in order:
+        if not blocked >> e & 1:
+            support.append(e)
+            blocked |= g.nbhd_mask(e, 1)
+    return dg.ListAssignment({e: frozenset(rng.sample(range(1, d + 1), rng.randint(1, max_list)))
+                              for e in sorted(support)})
+
+
+@pytest.mark.parametrize("label", ["Q4", "Q6", "K8,8", "Q2xK4,4"])
+def test_generate_distance2_matches_the_random_shuffle_reference(label):
+    cg = BUILDERS[label]()
+    for seed in range(8):
+        for max_list in range(1, cg.s_measured):
+            assert (dg.generate_distance2(cg, seed, max_list)
+                    == ref_generate_distance2(cg, seed, max_list))
+
+
 FAMILY_BUILDERS = {**BUILDERS, "Q7": lambda: dg.hypercube(7),
                    "K16,16": lambda: dg.complete_bipartite_pow2(4),
                    "Q4xK4,4": lambda: dg.cartesian_product(dg.hypercube(4),

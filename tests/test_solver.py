@@ -24,6 +24,18 @@ def test_permutation_validation_and_algebra():
             dg.Permutation(bad)
 
 
+@pytest.mark.parametrize("d", [1, 2, 7, 16])
+def test_random_search_trials_match_random_shuffle(d):
+    # the identity, then one list reshuffled in place with rng.shuffle per trial
+    for seed in range(4):
+        rng, base = random.Random(seed), list(range(1, d + 1))
+        expected = [tuple(base)]
+        for _ in range(29):
+            rng.shuffle(base)
+            expected.append(tuple(base))
+        assert list(dg.RandomSearch(trials=30, seed=seed).candidates(d)) == expected
+
+
 def test_apply_permutation_preserves_structure(q4):
     g, h = q4.graph, q4.coloring
     rho = dg.Permutation((3, 1, 4, 2))

@@ -18,9 +18,14 @@ setting bit e at both endpoints of edge e, and the neighbour lists in a
 second; each radius then ORs every vertex's neighbours' balls into its own,
 and the growth stops at the first radius where no ball grows. The balls are
 cached for each radius a caller asks for (n*m/8 bytes each, refused above
-``EDGE_BALL_BYTES_CAP``), and ``Graph.nbhd_mask`` returns W_t(e); the bits
-of that mask serve ``t_neighborhood``, ``is_distance_t_matching`` and the
-distance-2 list generator.
+``EDGE_BALL_BYTES_CAP``), and ``Graph.nbhd_mask`` returns W_t(e). The
+kernel serves the readers that ask about every anchor at once:
+``t_neighborhood``, the W6 counts of ``list_assignments`` (``_crowded``,
+``generate_sparse``), the swap plan's W4 and the oracle's E_0. Questions
+about a few edges read vertex neighbourhoods through ``adjacency`` instead:
+``is_distance_t_matching`` searches breadth-first from the ends of each
+selected edge, and the distance-2 list generator marks N[u] and N[v] of
+each edge uv it admits, so neither builds an n*m-bit table.
 
 Edge distance is symmetric, so the anchors whose W_t holds e are exactly the
 bits of W_t(e). Questions of the form "how many chosen edges lie in each
@@ -61,6 +66,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import eq, itemgetter, ne
+from typing import NamedTuple
 
 from .errors import IncompleteColoring, NotTwoColored, ResourceLimit
 
@@ -76,17 +82,19 @@ class Graph:
 
     Built eagerly: ``n``, ``edges``, ``m`` and the endpoint columns ``tails``
     and ``heads``. Built on first read and kept: ``adjacency`` (the oracle,
-    the BFS helper), ``edge_index`` (``_cycle_tuples`` on a coloring that may
-    be improper), ``max_degree``, the edge balls of each radius and the
-    oracle's half-edge layout.
+    the BFS helpers, the distance-2 list generator), ``edge_index``
+    (``_cycle_tuples`` on a coloring that may be improper), ``max_degree``,
+    the edge balls of each radius and the oracle's half-edge layout.
     """
 
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...], *,
+                 _columns: tuple[tuple[int, ...], tuple[int, ...]] | None = None):
         self.n = n
         self.edges = edges
         self.m = len(edges)
-        # the endpoint columns: edge e is (tails[e], heads[e])
-        self.tails, self.heads = tuple(zip(*edges)) or ((), ())
+        # the endpoint columns: edge e is (tails[e], heads[e]); a loader that
+        # split them off while checking the edges passes them as _columns
+        self.tails, self.heads = _columns or tuple(zip(*edges)) or ((), ())
         self._balls: dict[int, tuple[int, ...]] = {}
         self._half_edges: HalfEdgeLayout | None = None
 
@@ -156,7 +164,9 @@ class Graph:
         Cached per requested radius only. The growth stops early once no
         ball grows, so a radius beyond the diameter costs no more than the
         diameter itself. Raises ResourceLimit instead of building a table of
-        more than ``EDGE_BALL_BYTES_CAP`` bytes.
+        more than ``EDGE_BALL_BYTES_CAP`` bytes. The table is n*m bits, so it
+        serves only readers that count over every anchor; distance-t
+        matching checks and the distance-2 list generator read ``adjacency``.
         """
         if t < 0:
             raise ValueError("t must be nonnegative")
@@ -285,13 +295,15 @@ class EdgeColoring:
         return 0 not in self.colors
 
 
-@dataclass(frozen=True)
-class FourCycle:
+class FourCycle(NamedTuple):
     """Two-colored 4-cycle u-v-z-t-u.
 
     color_a sits on uv and on the partner edge zt; color_b on vz and tu.
     The recorded colors are those seen at enumeration time; ``apply_swaps``
-    revalidates against the coloring it is given.
+    revalidates against the coloring it is given. A named tuple, because
+    phase two builds d - 1 of them per conflict edge: equality and hashing
+    are those of the tuple of the ten fields, so a FourCycle equals a plain
+    tuple of the same values.
     """
 
     u: int
@@ -572,14 +584,47 @@ def is_distance_t_matching(g: Graph, edge_set, t: int) -> bool:
     """True iff all pairs in edge_set are at edge distance >= t.
 
     A distance-1 matching is an ordinary matching; distance 2 additionally
-    separates the endpoints by at least one edge. Each edge e passes when
-    W_{t-1}(e) meets the set in e alone.
+    separates the endpoints by at least one edge. Two edges lie at distance
+    < t exactly when an end of one is within distance t - 1 of an end of the
+    other, so a breadth-first search of radius t - 1 from the ends of each
+    selected edge, read through ``adjacency``, fails at the first end of
+    another selected edge it reaches; no edge ball is built. Raises
+    ValueError for an edge index outside 0..m-1.
     """
+    es = set(edge_set)
+    if es and not (0 <= min(es) and max(es) < g.m):
+        raise ValueError("edge index out of range")
     if t <= 0:
         return True
-    es = set(edge_set)
-    selected = sum(1 << e for e in es)
-    return all(g.nbhd_mask(e, t - 1) & selected == 1 << e for e in es)
+    tails, heads = g.tails, g.heads
+    ends = bytearray(g.n)  # 1 at each end of a selected edge
+    for e in es:
+        for w in (tails[e], heads[e]):
+            if ends[w]:  # two selected edges meet at w: distance 0
+                return False
+            ends[w] = 1
+    if t == 1:
+        return True
+    adjacency = g.adjacency
+    seen = [-1] * g.n  # seen[x] == e once the search from e has reached x
+    for e in es:
+        u, v = tails[e], heads[e]
+        seen[u] = seen[v] = e
+        frontier = [u, v]
+        for _ in range(t - 1):
+            reached = []
+            for w in frontier:
+                for f in adjacency[w]:
+                    x = tails[f] + heads[f] - w
+                    if seen[x] != e:
+                        if ends[x]:
+                            return False
+                        seen[x] = e
+                        reached.append(x)
+            if not reached:
+                break
+            frontier = reached
+    return True
 
 
 def apply_swaps(f: EdgeColoring, cycles) -> EdgeColoring:

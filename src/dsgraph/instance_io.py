@@ -92,13 +92,16 @@ def _check_color_array(values, m: int, d: int, name: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _check_edges(raw: list, n: int) -> list[tuple[int, int]]:
+def _check_edges(raw: list, n: int) -> tuple[tuple[tuple[int, int], ...],
+                                               tuple[int, ...], tuple[int, ...]]:
+    """(edges, tails, heads): the checked (u, v) pairs and their endpoint
+    columns, which the ``Graph`` built from them keeps as they are."""
     if _only(raw, list) and set(map(len, raw)) <= {2}:
         tails, heads = zip(*raw) if raw else ((), ())
         # each u < v, so the least u and the largest v bound all the others
         if (_only(tails, int) and _only(heads, int) and all(map(lt, tails, heads))
                 and 0 <= min(tails, default=0) and max(heads, default=0) < n):
-            return list(zip(tails, heads))
+            return tuple(zip(tails, heads)), tails, heads
     edges = []
     for item in raw:
         if (not isinstance(item, list) or len(item) != 2
@@ -108,7 +111,7 @@ def _check_edges(raw: list, n: int) -> list[tuple[int, int]]:
         if not 0 <= u < v < n:
             raise _err("edges: must be canonical (0 <= u < v < n)")
         edges.append((u, v))
-    return edges
+    return (tuple(edges), *zip(*edges))  # raw is nonempty: [] passes the check above
 
 
 def _edge_ids(keys: list, m: int) -> list[int] | None:
@@ -183,12 +186,13 @@ def from_json_dict(data) -> Instance:
     raw_edges = data.get("edges")
     if not isinstance(raw_edges, list):
         raise _err("edges: must be an array of [u, v] pairs")
-    edges = _check_edges(raw_edges, n)
+    edges, tails, heads = _check_edges(raw_edges, n)
     if not all(map(lt, edges, edges[1:])):
-        if edges != sorted(edges):
+        if list(edges) != sorted(edges):
             raise _err("edges: must be sorted lexicographically")
         raise _err("edges: duplicates are not allowed")
-    graph = Graph(n, tuple(edges))  # checked above: canonical, sorted, unique
+    # checked above: canonical, sorted, unique
+    graph = Graph(n, edges, _columns=(tails, heads))
     m = graph.m
 
     coloring = None
@@ -309,9 +313,17 @@ def save_instance(inst: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _err(f"top level: not valid JSON ({exc})") from exc
+    """Read, decode and validate one file.
+
+    The bytes are decoded as UTF-8 once, here, so invalid UTF-8 raises the
+    codec's UnicodeDecodeError, and ``json.loads`` gets a str: given bytes it
+    would also accept a UTF-16 or UTF-32 file, and a UTF-8 BOM, which as a
+    str it refuses.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _err(f"top level: not valid JSON ({exc})") from exc
     return from_json_dict(data)

@@ -246,7 +246,9 @@ def generate_distance2(cg: ColoredGraph, seed: int, max_list: int) -> ListAssign
     Each supported edge gets a uniform random nonempty list of at most
     max_list colors drawn from all of {1..d} (so the edge's own standard
     color may appear). max_list must be at most s-1; 0 is the degenerate
-    legal bound and yields the empty assignment.
+    legal bound and yields the empty assignment. The matching is read off
+    the closed neighbourhoods of the edges it admits, through
+    ``Graph.adjacency``; no edge ball is built.
     """
     g, d = cg.graph, cg.d
     s = cg.s_measured
@@ -257,13 +259,20 @@ def generate_distance2(cg: ColoredGraph, seed: int, max_list: int) -> ListAssign
     rng = random.Random(seed)
     order = list(range(g.m))
     _shuffle(rng, order)
-    # e is admissible iff it lies in no chosen edge's W_1, by symmetry of distance
-    blocked = 0
+    # e is admissible iff it lies in no chosen edge's W_1, by symmetry of
+    # distance: iff neither end of e lies in N[u] | N[v] of a chosen edge uv,
+    # which is N(u) | N(v) since u and v are neighbours
+    tails, heads, adjacency = g.tails, g.heads, g.adjacency
+    near = bytearray(g.n)
     support: list[int] = []
     for e in order:
-        if not blocked >> e & 1:
-            support.append(e)
-            blocked |= g.nbhd_mask(e, 1)
+        u, v = tails[e], heads[e]
+        if near[u] or near[v]:
+            continue
+        support.append(e)
+        for w in (u, v):
+            for f in adjacency[w]:
+                near[tails[f] + heads[f] - w] = 1
     lists = {}
     for e in sorted(support):
         size = rng.randint(1, max_list)

@@ -425,6 +425,36 @@ def oracle_cycle_census(g, f):
     return counts
 
 
+def ref_generate_distance2(cg, seed, max_list):
+    """``generate_distance2`` on the edge-ball kernel, shuffling with
+    ``rng.shuffle``: each admitted edge ORed its whole W_1, read off
+    ``Graph.edge_balls(1)``, into one mask of the blocked edges."""
+    g, d = cg.graph, cg.d
+    if max_list == 0:
+        return dg.EMPTY
+    rng = random.Random(seed)
+    order = list(range(g.m))
+    rng.shuffle(order)
+    blocked, support = 0, []
+    for e in order:
+        if not blocked >> e & 1:
+            support.append(e)
+            blocked |= g.nbhd_mask(e, 1)
+    return dg.ListAssignment({e: frozenset(rng.sample(range(1, d + 1), rng.randint(1, max_list)))
+                              for e in sorted(support)})
+
+
+def ref_is_distance_t_matching(g, edge_set, t):
+    """``is_distance_t_matching`` on the edge-ball kernel: each selected edge
+    e passed when W_{t-1}(e), from ``Graph.edge_balls(t - 1)``, met the set
+    in e alone."""
+    if t <= 0:
+        return True
+    es = set(edge_set)
+    selected = sum(1 << e for e in es)
+    return all(g.nbhd_mask(e, t - 1) & selected == 1 << e for e in es)
+
+
 def ref_graph_indexes(g):
     """(adjacency, edge_index) as ``Graph.__init__`` built them eagerly,
     before both became cached properties read on first use."""

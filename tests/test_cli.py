@@ -454,6 +454,26 @@ def test_invalid_instance_is_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("encode, message", [
+    (lambda text: b"\xff" + text.encode(),
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (lambda text: text.encode()[:50] + b"\xc3(" + text.encode()[50:],
+     "'utf-8' codec can't decode byte 0xc3 in position 50: invalid continuation byte"),
+    (lambda text: text.encode("utf-16"),
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (lambda text: b"\xef\xbb\xbf" + text.encode(),
+     "top level: not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0))"),
+], ids=["invalid-start", "invalid-continuation", "utf-16", "utf-8-bom"])
+def test_a_file_that_is_not_plain_utf8_is_a_usage_error(encode, message, tmp_path, capsys):
+    # the loader decodes UTF-8 itself: json.loads on bytes would accept the
+    # UTF-16 file and the BOM
+    f = tmp_path / "q3.json"
+    dg.save_instance(dg.from_colored_graph(dg.hypercube(3)), f)
+    f.write_bytes(encode(f.read_text(encoding="utf-8")))
+    assert run(capsys, "analyze", str(f)) == (2, "", f"error: {message}\n")
+
+
 def test_bounds_text_output(capsys):
     code, out, _ = run(capsys, "bounds", "--n", "4096", "--d", "32", "--s", "32",
                        "--c", "1")

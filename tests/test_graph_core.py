@@ -223,6 +223,17 @@ def test_cycle_edges_alternate_colors(q4):
             assert len(c.vertices) == 4
 
 
+def test_a_four_cycle_is_the_tuple_of_its_ten_fields(q4):
+    g, h = q4.graph, q4.coloring
+    for e in range(0, g.m, 7):
+        for c in dg.two_colored_cycles_through(g, h, e):
+            fields = (*c.vertices, *c.edge_ids, c.color_a, c.color_b)
+            assert c == fields and hash(c) == hash(fields)
+            assert c.vertices == (c.u, c.v, c.z, c.t)
+            assert c.edge_ids == (c.e_uv, c.e_vz, c.e_zt, c.e_tu)
+            assert c.edge_mask == sum(1 << f for f in c.edge_ids)
+
+
 def test_compute_s_matches_family_parameter(q3, q4, k44):
     for cg in (q3, q4, k44):
         assert dg.compute_s(cg.graph, cg.coloring) == cg.s_measured

@@ -12,7 +12,7 @@ import dsgraph as dg
 from dsgraph import list_assignments
 from dsgraph.instance_io import from_json_dict
 from dsgraph.list_assignments import _shuffle
-from tests.conftest import ref_generate_sparse
+from tests.conftest import ref_generate_distance2, ref_generate_sparse
 from tests.test_neighborhood_kernel import BUILDERS
 
 
@@ -140,21 +140,6 @@ def test_repeated_shuffles_on_one_rng_match_random_shuffle(seed, lengths):
             _shuffle(local, got)
             assert got == expected
             assert local.getstate() == lib.getstate()
-
-
-def ref_generate_distance2(cg, seed, max_list):
-    """``generate_distance2`` as it stood when it shuffled with ``rng.shuffle``."""
-    g, d = cg.graph, cg.d
-    rng = random.Random(seed)
-    order = list(range(g.m))
-    rng.shuffle(order)
-    blocked, support = 0, []
-    for e in order:
-        if not blocked >> e & 1:
-            support.append(e)
-            blocked |= g.nbhd_mask(e, 1)
-    return dg.ListAssignment({e: frozenset(rng.sample(range(1, d + 1), rng.randint(1, max_list)))
-                              for e in sorted(support)})
 
 
 @pytest.mark.parametrize("label", ["Q4", "Q6", "K8,8", "Q2xK4,4"])

@@ -10,7 +10,10 @@ construction is stored alongside. On a palette of at most twice the average
 degree that pass builds the census's partner rows, which refuse a repeated
 slot, so properness comes from them; only when they refuse, or on a wider
 palette, does ``properness_witness`` scan the edges, and it names the two
-edges that share a color. All constructors except
+edges that share a color. The ColoredGraph keeps those rows until a
+distance-2 stage reads them as its vertex neighbourhoods, and the standard
+color table once a solver reads it, so later stages build neither
+``Graph.adjacency`` nor a second table. All constructors except
 cayley_abelian treat a measured value below the claim as a bug and raise;
 cayley_abelian records the shortfall and warns instead, because its claim is
 known not to hold on every admissible input (see the Z_6 regression in the
@@ -27,7 +30,8 @@ from dataclasses import dataclass, field
 
 from .errors import (CertificationFailed, ClaimDiscrepancyWarning, InvalidCayleySpec,
                      InvalidK, ResourceLimit)
-from .graph_core import EdgeColoring, Graph, _census_rows, compute_s, properness_witness
+from .graph_core import (EdgeColoring, Graph, _census_rows, color_table, compute_s,
+                         properness_witness)
 
 HYPERCUBE_DIM_CAP = 16
 BIPARTITE_T_CAP = 7
@@ -65,6 +69,10 @@ class ColoredGraph:
     # the ``class_masks``, empty until the first call; init=False, so
     # dataclasses.replace gives the new graph an empty one
     _class_masks: list = field(default_factory=list, init=False, repr=False)
+    # the certification's partner rows ("rows") until ``neighbours`` reads
+    # them across and drops them, then "neighbours", and "table" (the
+    # ``standard_table``); empty after replace too
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def class_masks(self) -> list[int]:
         """The color classes of the standard coloring as edge bitmasks, index
@@ -76,6 +84,27 @@ class ColoredGraph:
                 masks[c] |= 1 << e
             self._class_masks.extend(masks[1:])
         return self._class_masks
+
+    def neighbours(self) -> tuple[tuple[int, ...], ...] | None:
+        """Per vertex w, the far end of its edge of each color 1..d, or the sink
+        n, and one more entry for the sink: the partner rows of
+        ``graph_core._census_rows`` read across. Built on first read from the
+        rows the certification kept, which are dropped then, and kept. None on
+        a palette wider than twice the average degree or on an improper
+        coloring."""
+        kept = self._kept
+        if "neighbours" not in kept:
+            rows = kept.pop("rows") if "rows" in kept else _census_rows(self.graph, self.coloring)
+            kept["neighbours"] = None if rows is None else tuple(zip(*rows[1:]))
+        return kept["neighbours"]
+
+    def standard_table(self) -> list[list[int]]:
+        """The ``color_table`` of the standard coloring, built on first read
+        and kept: the edge in each (vertex, color) slot, -1 where none."""
+        kept = self._kept
+        if "table" not in kept:
+            kept["table"] = color_table(self.graph, self.coloring)
+        return kept["table"]
 
     @property
     def s(self) -> int:
@@ -91,8 +120,8 @@ def _certify(graph: Graph, coloring: EdgeColoring, s_claimed: int | None,
              family: dict, strict: bool = True, stacklevel: int = 3) -> ColoredGraph:
     """Check properness and measure s; a claim of None claims the measured value.
 
-    The census rows built for the properness test are handed to compute_s,
-    so the slots are laid out once.
+    The census rows built for the properness test are handed to compute_s
+    and kept for ``ColoredGraph.neighbours``, so the slots are laid out once.
 
     A tolerated shortfall warns ``stacklevel`` frames up, at the caller of
     the public function.
@@ -120,7 +149,9 @@ def _certify(graph: Graph, coloring: EdgeColoring, s_claimed: int | None,
     family["s_claimed"] = s_claimed
     family["s_measured"] = s_measured
     family["claim_verified"] = s_measured >= s_claimed
-    return ColoredGraph(graph, coloring, coloring.d, s_claimed, s_measured, family)
+    cg = ColoredGraph(graph, coloring, coloring.d, s_claimed, s_measured, family)
+    cg._kept["rows"] = rows
+    return cg
 
 
 def _build(n: int, items, d: int, s_claimed: int, family: dict,

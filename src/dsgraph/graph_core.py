@@ -8,8 +8,9 @@ edge list and endpoint columns up front; every index over them (the
 per-vertex edge lists, the edge-id lookup, the edge balls) is built on first
 read, so a stage that loads a file and certifies it builds none of them.
 
-Every bounded-distance question goes through one kernel, the per-vertex edge
-ball. E_0(w) is the bitmask of the edges incident to w, and
+Bounded-distance questions about every anchor at once go through one
+kernel, the per-vertex edge ball. E_0(w) is the bitmask of the edges
+incident to w, and
 E_t(w) = E_{t-1}(w) | OR over neighbours x of E_{t-1}(x), so E_t(w) holds the
 edges with an endpoint within distance t of w. An edge uv then has the
 t-neighborhood W_t(uv) = E_t(u) | E_t(v), exactly, disconnected graphs
@@ -19,13 +20,16 @@ second; each radius then ORs every vertex's neighbours' balls into its own,
 and the growth stops at the first radius where no ball grows. The balls are
 cached for each radius a caller asks for (n*m/8 bytes each, refused above
 ``EDGE_BALL_BYTES_CAP``), and ``Graph.nbhd_mask`` returns W_t(e). The
-kernel serves the readers that ask about every anchor at once:
-``t_neighborhood``, the W6 counts of ``list_assignments`` (``_crowded``,
+kernel's readers are the W6 counts of ``list_assignments`` (``_crowded``,
 ``generate_sparse``), the swap plan's W4 and the oracle's E_0. Questions
-about a few edges read vertex neighbourhoods through ``adjacency`` instead:
-``is_distance_t_matching`` searches breadth-first from the ends of each
-selected edge, and the distance-2 list generator marks N[u] and N[v] of
-each edge uv it admits, so neither builds an n*m-bit table.
+about a few edges read vertex neighbourhoods instead, so none builds an
+n*m-bit table: ``_reach`` is one breadth-first search of bounded radius,
+behind ``is_distance_t_matching`` (from the ends of each selected edge)
+and ``t_neighborhood`` (from the ends of one edge). It steps through
+``adjacency`` (``_steps``), or, in the distance-2 support check, through
+the partner rows a certified ``ColoredGraph`` keeps, read across; the
+distance-2 list generator marks N[u] and N[v] of each edge uv it admits
+through the same rows, so no cold distance-2 stage builds ``adjacency``.
 
 Edge distance is symmetric, so the anchors whose W_t holds e are exactly the
 bits of W_t(e). Questions of the form "how many chosen edges lie in each
@@ -43,16 +47,18 @@ the far end of an edge (x, y) at v is x + y - v.
 The partner is read off the same table: when ``table[z][a]`` and
 ``table[t][a]`` name one edge, that a-colored edge joins z and t. That cycle
 test lives in one place, ``_cycle_tuples``, which returns plain
-(c, e_vz, e_tu, partner) tuples for the second colors c it is given, in
+(z, t, c, e_vz, e_tu, partner) tuples for the second colors c it is given, in
 O(1) work per color: ``two_colored_cycles_through`` tries every color and
-wraps the tuples into ``FourCycle``s, and phase one's checker tries, per
-forbidden color of a listed edge, the one color whose cycle it can block.
+wraps the tuples into ``FourCycle``s, and the solver's census reads the
+cycles of the listed edges under the standard coloring off the table a
+``ColoredGraph`` keeps, once each, for any permutation of the colors.
 
 The census behind the certified s, ``compute_s``, needs only how many
 cycles pass through each edge, so on a proper, total coloring it counts per
 color pair, at C level, the vertices where the walk c, a, c, a closes. The
 partner rows of that count hold each (vertex, color) slot once, so building
-them also tests properness, which is how a certification checks it. Other
+them also tests properness, which is how a certification checks it, and a
+certified ``ColoredGraph`` keeps them for its vertex neighbourhoods. Other
 colorings, and palettes much wider than the degree, are counted edge by edge
 with ``_cycle_tuples`` on a table of only the 2m slots that hold an edge.
 """
@@ -82,7 +88,7 @@ class Graph:
 
     Built eagerly: ``n``, ``edges``, ``m`` and the endpoint columns ``tails``
     and ``heads``. Built on first read and kept: ``adjacency`` (the oracle,
-    the BFS helpers, the distance-2 list generator), ``edge_index``
+    the radius searches of a bare graph), ``edge_index``
     (``_cycle_tuples`` on a coloring that may be improper), ``max_degree``,
     the edge balls of each radius and the oracle's half-edge layout.
     """
@@ -165,8 +171,9 @@ class Graph:
         ball grows, so a radius beyond the diameter costs no more than the
         diameter itself. Raises ResourceLimit instead of building a table of
         more than ``EDGE_BALL_BYTES_CAP`` bytes. The table is n*m bits, so it
-        serves only readers that count over every anchor; distance-t
-        matching checks and the distance-2 list generator read ``adjacency``.
+        serves only readers that count over every anchor; the radius
+        searches of ``_reach`` and the distance-2 list generator read vertex
+        neighbourhoods.
         """
         if t < 0:
             raise ValueError("t must be nonnegative")
@@ -347,12 +354,16 @@ def add_count(levels: list[int], mask: int) -> None:
 
 
 def t_neighborhood(g: Graph, e: int, t: int) -> frozenset[int]:
-    """Edge indices at distance <= t from e, e included: the bits of W_t(e)."""
+    """Edge indices at distance <= t from e, e included: the edges at the ends
+    of e and at the vertices a radius-t search from them reaches (``_reach``,
+    over ``adjacency``); no edge ball is built."""
     if not 0 <= e < g.m:
         raise ValueError("edge index out of range")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return frozenset(_bits(g.nbhd_mask(e, t)))
+    ends = (g.tails[e], g.heads[e])
+    near = _reach(_steps(g), ends, t, [-1] * (g.n + 1), e, bytearray(g.n + 1))
+    return frozenset(chain.from_iterable(map(g.adjacency.__getitem__, chain(ends, near))))
 
 
 def properness_witness(g: Graph,
@@ -402,9 +413,10 @@ def color_table(g: Graph, f: EdgeColoring) -> list[list[int]]:
 
 
 def _cycle_tuples(g: Graph, colors, seconds, e: int, table,
-                  proper: bool = False) -> list[tuple[int, int, int, int]]:
-    """(c, e_vz, e_tu, partner) for each two-colored 4-cycle through e whose
-    second color c is in ``seconds``, in the order of ``seconds``.
+                  proper: bool = False) -> list[tuple[int, int, int, int, int, int]]:
+    """(z, t, c, e_vz, e_tu, partner) for each two-colored 4-cycle u-v-z-t
+    through e = uv whose second color c is in ``seconds``, in the order of
+    ``seconds``.
 
     The one cycle test: the c-colored edges at v and u must both exist, end in
     distinct vertices z and t, and zt must exist and carry e's color a. When
@@ -440,7 +452,7 @@ def _cycle_tuples(g: Graph, colors, seconds, e: int, table,
             partner = g.edge_index.get((z, t) if z < t else (t, z))
             if partner is None or colors[partner] != a:
                 continue
-        out.append((c, ez, et, partner))
+        out.append((z, t, c, ez, et, partner))
     return out
 
 
@@ -455,16 +467,10 @@ def two_colored_cycles_through(g: Graph, f: EdgeColoring, e: int,
     """
     if table is None:
         table = color_table(g, f)
-    edges = g.edges
-    u, v = edges[e]
+    u, v = g.edges[e]
     a = f.colors[e]
-    out = []
-    for c, ez, et, partner in _cycle_tuples(g, f.colors, range(1, f.d + 1), e, table):
-        x, y = edges[ez]
-        z = x + y - v
-        x, y = edges[et]
-        out.append(FourCycle(u, v, z, x + y - u, e, ez, partner, et, a, c))
-    return tuple(out)
+    return tuple(FourCycle(u, v, z, t, e, ez, partner, et, a, c) for z, t, c, ez, et, partner
+                 in _cycle_tuples(g, f.colors, range(1, f.d + 1), e, table))
 
 
 def _partner_rows(g: Graph, colors, d: int) -> list[list[int]] | None:
@@ -580,6 +586,44 @@ def standard_matchings(g: Graph, h: EdgeColoring) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(buckets[c]) for c in range(1, h.d + 1))
 
 
+def _steps(g: Graph):
+    """w -> the far ends of the edges at w, read through ``adjacency``, which
+    is built at the first step."""
+    tails, heads = g.tails, g.heads
+    return lambda w: [tails[f] + heads[f] - w for f in g.adjacency[w]]
+
+
+def _reach(step, sources, radius: int, seen: list, mark, stop: bytearray) -> list[int] | None:
+    """The vertices within ``radius`` steps of ``sources`` that are not
+    sources, nearest first, each once; None as soon as the search meets a
+    vertex x with ``stop[x]`` set.
+
+    ``step`` maps a vertex to the vertices next to it (``_steps``). ``seen``
+    and ``stop`` have one slot per vertex and a last one for the sink n that
+    partner rows name where a vertex has no edge of a color; the sink is
+    marked first and so never met. x counts as met once ``seen[x] == mark``,
+    so searches with distinct marks can share one ``seen``.
+    """
+    seen[-1] = mark
+    for w in sources:
+        seen[w] = mark
+    frontier, out = sources, []
+    for _ in range(radius):
+        reached = []
+        for w in frontier:
+            for x in step(w):
+                if seen[x] != mark:
+                    if stop[x]:
+                        return None
+                    seen[x] = mark
+                    reached.append(x)
+        if not reached:
+            break
+        out += reached
+        frontier = reached
+    return out
+
+
 def is_distance_t_matching(g: Graph, edge_set, t: int) -> bool:
     """True iff all pairs in edge_set are at edge distance >= t.
 
@@ -587,17 +631,22 @@ def is_distance_t_matching(g: Graph, edge_set, t: int) -> bool:
     separates the endpoints by at least one edge. Two edges lie at distance
     < t exactly when an end of one is within distance t - 1 of an end of the
     other, so a breadth-first search of radius t - 1 from the ends of each
-    selected edge, read through ``adjacency``, fails at the first end of
-    another selected edge it reaches; no edge ball is built. Raises
+    selected edge (``_reach``, through ``adjacency``) fails at the first end
+    of another selected edge it reaches; no edge ball is built. Raises
     ValueError for an edge index outside 0..m-1.
     """
+    return _is_distance_t_matching(g, edge_set, t, _steps(g))
+
+
+def _is_distance_t_matching(g: Graph, edge_set, t: int, step) -> bool:
+    """``is_distance_t_matching``, searching with ``step`` (see ``_reach``)."""
     es = set(edge_set)
     if es and not (0 <= min(es) and max(es) < g.m):
         raise ValueError("edge index out of range")
     if t <= 0:
         return True
     tails, heads = g.tails, g.heads
-    ends = bytearray(g.n)  # 1 at each end of a selected edge
+    ends = bytearray(g.n + 1)  # 1 at each end of a selected edge; the last slot is the sink
     for e in es:
         for w in (tails[e], heads[e]):
             if ends[w]:  # two selected edges meet at w: distance 0
@@ -605,25 +654,10 @@ def is_distance_t_matching(g: Graph, edge_set, t: int) -> bool:
             ends[w] = 1
     if t == 1:
         return True
-    adjacency = g.adjacency
-    seen = [-1] * g.n  # seen[x] == e once the search from e has reached x
+    seen = [-1] * (g.n + 1)
     for e in es:
-        u, v = tails[e], heads[e]
-        seen[u] = seen[v] = e
-        frontier = [u, v]
-        for _ in range(t - 1):
-            reached = []
-            for w in frontier:
-                for f in adjacency[w]:
-                    x = tails[f] + heads[f] - w
-                    if seen[x] != e:
-                        if ends[x]:
-                            return False
-                        seen[x] = e
-                        reached.append(x)
-            if not reached:
-                break
-            frontier = reached
+        if _reach(step, (tails[e], heads[e]), t - 1, seen, e, ends) is None:
+            return False
     return True
 
 

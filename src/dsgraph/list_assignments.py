@@ -22,7 +22,9 @@ from fractions import Fraction
 
 from .constructors import ColoredGraph
 from .errors import ColorOutOfRange, InvalidBound
-from .graph_core import EdgeColoring, Graph, _bits, add_count, is_distance_t_matching
+# is_distance_t_matching is unused here but wrapped by perfbench/tracing.py.
+from .graph_core import (EdgeColoring, Graph, _bits, _is_distance_t_matching, _steps,
+                         add_count, is_distance_t_matching)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,15 +242,56 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
     return ListAssignment({e: frozenset(cs) for e, cs in lists.items()})
 
 
+def _draw_list(getrandbits, d: int, max_list: int) -> frozenset[int]:
+    """One distance-2 list, with exactly the draws of
+    ``size = rng.randint(1, max_list)`` and then
+    ``rng.sample(range(1, d + 1), size)``.
+
+    Both calls reduce to ``Random._randbelow(n)``: getrandbits(n.bit_length())
+    redrawn until it is below n. ``sample`` swaps the pick out of a pool when
+    the pool is small against a set of the picks (the ``setsize`` rule of
+    the interpreter's ``sample``), else redraws indices already picked. The
+    list needs 1 <= max_list <= d.
+    """
+    k = max_list.bit_length()
+    size = getrandbits(k)
+    while size >= max_list:
+        size = getrandbits(k)
+    size += 1
+    setsize = 21
+    if size > 5:
+        setsize += 4 ** math.ceil(math.log(size * 3, 4))
+    if d <= setsize:
+        pool = list(range(1, d + 1))
+        picked = []
+        for n in range(d, d - size, -1):
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            picked.append(pool[j])
+            pool[j] = pool[n - 1]
+        return frozenset(picked)
+    k = d.bit_length()
+    seen: set[int] = set()
+    for _ in range(size):
+        j = getrandbits(k)
+        while j >= d or j in seen:
+            j = getrandbits(k)
+        seen.add(j)
+    return frozenset(j + 1 for j in seen)
+
+
 def generate_distance2(cg: ColoredGraph, seed: int, max_list: int) -> ListAssignment:
     """Lists supported on a seeded maximal distance-2 matching.
 
     Each supported edge gets a uniform random nonempty list of at most
     max_list colors drawn from all of {1..d} (so the edge's own standard
-    color may appear). max_list must be at most s-1; 0 is the degenerate
-    legal bound and yields the empty assignment. The matching is read off
-    the closed neighbourhoods of the edges it admits, through
-    ``Graph.adjacency``; no edge ball is built.
+    color may appear), by ``_draw_list``. max_list must be at most s-1; 0 is
+    the degenerate legal bound and yields the empty assignment. The matching
+    is read off the closed neighbourhoods of the edges it admits, through
+    the graph's kept partner rows (``_neighbours``), or ``Graph.adjacency``
+    where it has none; no edge ball is built.
     """
     g, d = cg.graph, cg.d
     s = cg.s_measured
@@ -262,8 +305,8 @@ def generate_distance2(cg: ColoredGraph, seed: int, max_list: int) -> ListAssign
     # e is admissible iff it lies in no chosen edge's W_1, by symmetry of
     # distance: iff neither end of e lies in N[u] | N[v] of a chosen edge uv,
     # which is N(u) | N(v) since u and v are neighbours
-    tails, heads, adjacency = g.tails, g.heads, g.adjacency
-    near = bytearray(g.n)
+    tails, heads, step = g.tails, g.heads, _neighbours(cg)
+    near = bytearray(g.n + 1)  # the last slot is the partner rows' sink
     support: list[int] = []
     for e in order:
         u, v = tails[e], heads[e]
@@ -271,13 +314,10 @@ def generate_distance2(cg: ColoredGraph, seed: int, max_list: int) -> ListAssign
             continue
         support.append(e)
         for w in (u, v):
-            for f in adjacency[w]:
-                near[tails[f] + heads[f] - w] = 1
-    lists = {}
-    for e in sorted(support):
-        size = rng.randint(1, max_list)
-        lists[e] = frozenset(rng.sample(range(1, d + 1), size))
-    return ListAssignment(lists)
+            for x in step(w):
+                near[x] = 1
+    getrandbits = rng.getrandbits
+    return ListAssignment({e: _draw_list(getrandbits, d, max_list) for e in sorted(support)})
 
 
 def conflict_edges(g: Graph, f: EdgeColoring, L: ListAssignment) -> frozenset[int]:
@@ -286,5 +326,15 @@ def conflict_edges(g: Graph, f: EdgeColoring, L: ListAssignment) -> frozenset[in
     return frozenset(e for e, cs in L.items() if colors[e] in cs)
 
 
+def _neighbours(cg: ColoredGraph):
+    """w -> the vertices next to w: cg's kept partner rows read across
+    (``ColoredGraph.neighbours``, which name the sink n where w has no edge
+    of a color), or ``Graph.adjacency`` where cg has no rows."""
+    rows = cg.neighbours()
+    return _steps(cg.graph) if rows is None else rows.__getitem__
+
+
 def support_is_distance2_matching(cg: ColoredGraph, L: ListAssignment) -> bool:
-    return is_distance_t_matching(cg.graph, L.support(), 2)
+    """Whether the listed edges form a distance-2 matching, searched through
+    cg's vertex neighbourhoods (``_neighbours``)."""
+    return _is_distance_t_matching(cg.graph, L.support(), 2, _neighbours(cg))

@@ -12,12 +12,15 @@ conflicts or already used. The chosen cycles are pairwise edge-disjoint, so
 swapping them all yields a proper coloring with no conflicts.
 
 A cycle is "allowed" when ``_swap_allowed`` holds: swapping it leaves all four
-edges outside their lists. Both phase-two searches take their candidates from
-``_candidates``. Swaps preserve properness and each vertex's color set.
+edges outside their lists. That one rule decides phase one's (c) and the
+candidates of both phase-two searches, all read off one census per instance
+(``_Checker``) under each trial's permutation, so no trial builds a coloring
+or a color table. Swaps preserve properness and each vertex's color set.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -29,8 +32,9 @@ from .constructors import ColoredGraph
 from .errors import (PermutationBudgetExceeded, PermutationNotFound,
                      PermutationSearchFailed, PreconditionViolated, ResourceLimit,
                      SwapPlanStuck)
-# is_proper, swap_cycle and t_neighborhood are unused here but wrapped by
-# perfbench/tracing.py.
+# is_proper, swap_cycle and t_neighborhood are unused here, and the solvers
+# read neither allowed_cycles nor the two_colored_cycles_through it calls, but
+# perfbench/tracing.py wraps them.
 from .graph_core import (EdgeColoring, FourCycle, Graph, _cycle_tuples, apply_swaps,
                          color_table, is_proper, properness_witness, swap_cycle,
                          t_neighborhood, two_colored_cycles_through)
@@ -164,39 +168,66 @@ class PermutationCheck:
 
 
 class _Checker:
-    """Precomputed structures for evaluating many permutations on one instance.
+    """One instance's census, read under any color permutation rho, and phase
+    one's conditions on it.
 
-    ``hits`` names the listed edges that conflict for each (matching, image)
-    pair, so (b) and (a) read only the conflict edges, through the lazy count
-    of (ii) and (iii), ``list_assignments._crowded``. (c) is read from the
-    lists too. Swapping a two-colored 4-cycle gives each of its edges the
-    image of the cycle's other color, so a forbidden color x of a listed edge
-    e with x != rho(h(e)) blocks exactly one cycle through e: the one whose
-    second color under h is rho^-1(x), which ``graph_core._cycle_tuples``
-    looks up in the standard ``color_table`` (built when a trial first
-    reaches (c)). A cycle met from several listed edges counts once, against
-    each of its four edges, and (c) is then checked per edge, in ascending
-    edge order. A trial's (c) thus costs O(sum of the list sizes), and the
-    build enumerates no cycle. Integer counts are compared against
-    floor(gamma*s) and floor(tau*s), which decides exactly as the Fractions
-    would.
+    ``hits[m - 1][x]`` lists the listed edges of matching m whose list holds
+    x, so the conflicts under rho are the union of ``hits[m - 1][rho(m)]``,
+    which (b) and (a) read through ``list_assignments._crowded``. rho only
+    relabels colors, so the cycles of rho∘h are those of h: ``_cycle_tuples``
+    looks each up once, on the standard table the ColoredGraph keeps, when
+    first read, in ``seconds`` per (edge, second color under h) for (c) and
+    in ``cycles`` per conflict edge for phase two. A swap gives each edge of
+    its cycle the cycle's other color, so only a forbidden color x of a
+    listed edge e can refuse a cycle through e, the one whose second color
+    is rho^-1(x); (c) counts those that ``_swap_allowed`` refuses, each once,
+    against each of their edges, in O(sum of the list sizes) per trial.
+    Counts are compared with floor(gamma*s) and floor(tau*s), which decides
+    as the Fractions would. Phase two passes no params; given a coloring f,
+    the census reads f, on a table of its own, in place of h.
     """
 
-    def __init__(self, cg: ColoredGraph, L: ListAssignment, params: SolverParams):
-        colors = cg.coloring.colors
+    def __init__(self, cg: ColoredGraph, L: ListAssignment,
+                 params: SolverParams | None = None, f: EdgeColoring | None = None):
         _check_colors(L, cg.graph, cg.d)
-        self.gs = math.floor(params.gamma_s)
-        self.ts = math.floor(params.tau_s)
-        self.cg = cg
-        self.table: list[list[int]] | None = None
-        lists = L.lists
-        # hits[m - 1][x]: the listed edges of matching m whose list holds x,
-        # ascending; they conflict exactly when rho maps m to x
+        if params is not None:
+            self.gs, self.ts = math.floor(params.gamma_s), math.floor(params.tau_s)
+        self.cg, self.L, self.get = cg, L, L.lists.get
+        self.f = cg.coloring if f is None else f
+        self.proper = f is None  # h is certified proper
+        self.table = cg.standard_table if f is None else functools.cache(
+            functools.partial(color_table, cg.graph, f))
+        self.seconds: dict[tuple[int, int], list] = {}
+        self.cycles: dict[int, list[tuple]] = {}
         self.hits: list[dict[int, list[int]]] = [{} for _ in range(cg.d)]
-        for e in sorted(lists):
-            hit = self.hits[colors[e] - 1]
-            for x in lists[e]:
-                hit.setdefault(x, []).append(e)
+        for e, xs in sorted(L.lists.items()):
+            for x in xs:
+                self.hits[self.f.colors[e] - 1].setdefault(x, []).append(e)
+
+    def conflicts(self, images) -> list[int]:
+        """The conflict edges under rho, ascending; ``images[c]`` = rho(c)."""
+        return sorted(itertools.chain.from_iterable(
+            [hit[x] for x, hit in zip(images[1:], self.hits) if x in hit]))
+
+    def candidates(self, images, conflicts):
+        """(e, its cycles, those ``_swap_allowed`` keeps under images) for each
+        conflict edge e, as (z, t, b, e_vz, e_tu, partner) in (z, t) order;
+        lazy, so a search that stops at one edge reads no later edge's
+        cycles."""
+        get, f = self.get, self.f
+        for e in conflicts:
+            if e not in self.cycles:
+                self.cycles[e] = sorted(_cycle_tuples(self.cg.graph, f.colors, range(1, f.d + 1),
+                                                      e, self.table(), self.proper))
+            cycles, ra = self.cycles[e], images[f.colors[e]]
+            yield e, cycles, [c for c in cycles
+                              if _swap_allowed(get, ra, images[c[2]], e, c[3], c[4], c[5])]
+
+    def four_cycle(self, e: int, cyc: tuple, images) -> FourCycle:
+        """The ``FourCycle`` of e's cycle cyc, a ``candidates`` entry, under images."""
+        g, colors = self.cg.graph, self.f.colors
+        return FourCycle(g.tails[e], g.heads[e], cyc[0], cyc[1], e, cyc[3], cyc[5], cyc[4],
+                         images[colors[e]], images[cyc[2]])
 
     def accepts(self, rho: Permutation) -> bool:
         return next(self.witnesses(rho), None) is None
@@ -210,27 +241,25 @@ class _Checker:
     def witnesses(self, rho: Permutation):
         """Yield ("b" | "a" | "c", witness) lazily: (b) by vertex, then (a) by
         matching and anchor, then (c) by edge, each in ascending order."""
-        cg, gs, ts = self.cg, self.gs, self.ts
-        images = rho.images
+        images, ts = rho.images, self.ts
         # each matching's conflict edges, all under color 0
         conf = {(m, 0): hit[x] for m, (x, hit) in enumerate(zip(images, self.hits), 1)
                 if x in hit}
-        for kind, witness, cnt in _crowded(cg, conf, gs):
+        for kind, witness, cnt in _crowded(self.cg, conf, self.gs):
             yield "b" if kind == "ii" else "a", (*witness[:-1], cnt)  # drop color 0
-        g, colors = cg.graph, cg.coloring.colors
-        if self.table is None:
-            self.table = color_table(g, cg.coloring)
-        inverse = rho.inverse().images
-        blocked = set()  # each blocked cycle as its four edges, sorted
+        get, seconds, inverse = self.get, self.seconds, rho.inverse().images
+        g, colors = self.cg.graph, self.f.colors
+        blocked = set()  # each refused cycle as its four edges, sorted
         for image, hit in zip(images, self.hits):
             for x, group in hit.items():
-                if x != image:  # x = rho(m) makes the group conflicts, not blocks
-                    seconds = (inverse[x - 1],)
-                    for e in group:
-                        for _, ez, et, partner in _cycle_tuples(g, colors, seconds, e,
-                                                                self.table):
+                b = inverse[x - 1]  # b = h(e) when x = rho(h(e)): no cycle
+                for e in group:
+                    if (e, b) not in seconds:
+                        seconds[e, b] = _cycle_tuples(g, colors, (b,), e, self.table(), True)
+                    for _, _, _, ez, et, partner in seconds[e, b]:
+                        if not _swap_allowed(get, image, x, e, ez, et, partner):
                             blocked.add(tuple(sorted((e, ez, et, partner))))
-        if len(blocked) > ts:  # otherwise no edge lies in more than ts blocked cycles
+        if len(blocked) > ts:  # otherwise no edge lies in more than ts refused cycles
             bad = Counter(itertools.chain.from_iterable(blocked))
             for e in sorted(e for e, cnt in bad.items() if cnt > ts):
                 yield "c", (e, bad[e])
@@ -300,32 +329,19 @@ def find_permutation(cg: ColoredGraph, L: ListAssignment, params: SolverParams,
     return _search_permutation(_Checker(cg, L, params).accepts, cg.d, strategy)[0]
 
 
-def _swap_allowed(L: ListAssignment, cyc: FourCycle) -> bool:
-    """The swap rule: swapping cyc puts color a on vz and tu and color b on uv
-    and zt, and is allowed when none of the four lists holds its edge's new color."""
-    get = L.lists.get
-    a, b = cyc.color_a, cyc.color_b
-    return not (a in get(cyc.e_vz, ()) or a in get(cyc.e_tu, ())
-                or b in get(cyc.e_uv, ()) or b in get(cyc.e_zt, ()))
+def _swap_allowed(get, ra: int, rb: int, e: int, ez: int, et: int, partner: int) -> bool:
+    """The swap rule: swapping a cycle with ra on e and zt and rb on ez and et
+    is allowed when no list (``get``) holds its edge's new color."""
+    return not (rb in get(e, ()) or ra in get(ez, ()) or ra in get(et, ())
+                or rb in get(partner, ()))
 
 
 def allowed_cycles(cg: ColoredGraph, f: EdgeColoring, L: ListAssignment, e: int,
                    table=None) -> tuple[FourCycle, ...]:
     """Cycles through e whose swap leaves all four edges conflict-free."""
+    get = L.lists.get
     return tuple(c for c in two_colored_cycles_through(cg.graph, f, e, table)
-                 if _swap_allowed(L, c))
-
-
-def _candidates(cg: ColoredGraph, f: EdgeColoring, L: ListAssignment, conflicts):
-    """(e, cycles through e, those ``_swap_allowed`` keeps sorted by (z, t)) for
-    each of the conflict edges of f in ascending order; lazy, so a search that
-    stops at one edge enumerates no later edge's cycles."""
-    g = cg.graph
-    table = color_table(g, f)
-    for e in sorted(conflicts):
-        cycles = two_colored_cycles_through(g, f, e, table)
-        yield e, cycles, sorted((c for c in cycles if _swap_allowed(L, c)),
-                                key=lambda c: (c.z, c.t))
+                 if _swap_allowed(get, c.color_a, c.color_b, c.e_uv, c.e_vz, c.e_tu, c.e_zt))
 
 
 @dataclass(frozen=True)
@@ -355,7 +371,8 @@ class SwapPlan:
 
 def construct_swap_plan(cg: ColoredGraph, hprime: EdgeColoring, L: ListAssignment,
                         params: SolverParams) -> tuple[EdgeColoring, SwapPlan]:
-    """Pick one allowed cycle per conflict edge and swap them all.
+    """Pick one allowed cycle per conflict edge of the proper coloring hprime
+    and swap them all.
 
     Conflict edges are visited in ascending edge order. A candidate survives
     when (1) neither corner vertex nor the standard matching holding its two
@@ -364,35 +381,42 @@ def construct_swap_plan(cg: ColoredGraph, hprime: EdgeColoring, L: ListAssignmen
     current used set) and (2) its three non-conflict edges are neither
     conflict edges nor already used. Ties break to the least (z, t).
     """
+    return _swap_plan(_Checker(cg, L, f=hprime), range(hprime.d + 1), hprime, params)
+
+
+def _swap_plan(census: _Checker, images, hprime: EdgeColoring,
+               params: SolverParams) -> tuple[EdgeColoring, SwapPlan]:
+    """``construct_swap_plan`` of hprime, the census's coloring under
+    ``images`` (``images[c]`` = rho(c)), read off the census."""
     if params.epsilon <= 0:
         raise ValueError("epsilon must be positive for overload filtering")
-    g, h = cg.graph, cg.coloring
+    g, h = census.cg.graph, census.cg.coloring.colors
     es = math.ceil(params.epsilon_s)  # a count reaches epsilon*s exactly when it reaches es
-    conflicts = conflict_edges(g, hprime, L)
-    # edge sets are bitmasks over edge indices; incident[w] holds the edges at w
+    conflicts = census.conflicts(images)
+    # edge sets are bitmasks over edge indices; the chosen cycles are
+    # edge-disjoint, so each adds two used edges at each of its corners
     conflict_mask = sum(1 << f for f in conflicts)
-    incident = g.edge_balls(0)
-    class_mask = cg.class_masks()
+    class_mask = census.cg.class_masks()
+    load = [0] * g.n
     used = 0
     cycles: list[FourCycle] = []
     records: list[SelectionRecord] = []
-    for e, all_cycles, allowed in _candidates(cg, hprime, L, conflicts):
+    for e, all_cycles, allowed in census.candidates(images, conflicts):
         used_w4 = used & g.nbhd_mask(e, 4)
         blocked = conflict_mask | used
         elim_over = 0
         elim_conf_used = 0
-        survivors: list[FourCycle] = []
+        survivors = []
         for cyc in allowed:
-            if ((used & incident[cyc.z]).bit_count() >= es
-                    or (used & incident[cyc.t]).bit_count() >= es
-                    or (used_w4 & class_mask[h[cyc.e_vz] - 1]).bit_count() >= es
-                    or (used_w4 & class_mask[h[cyc.e_tu] - 1]).bit_count() >= es):
+            side, other = h[cyc[3]], h[cyc[4]]  # one standard matching, unless f is given
+            if (load[cyc[0]] >= es or load[cyc[1]] >= es
+                    or (used_w4 & class_mask[side - 1]).bit_count() >= es
+                    or other != side and (used_w4 & class_mask[other - 1]).bit_count() >= es):
                 elim_over += 1
-                continue
-            if blocked & (1 << cyc.e_vz | 1 << cyc.e_zt | 1 << cyc.e_tu):
+            elif blocked & (1 << cyc[3] | 1 << cyc[4] | 1 << cyc[5]):
                 elim_conf_used += 1
-                continue
-            survivors.append(cyc)
+            else:
+                survivors.append(cyc)
         if not survivors:
             raise SwapPlanStuck(e, {
                 "total": len(all_cycles),
@@ -401,13 +425,15 @@ def construct_swap_plan(cg: ColoredGraph, hprime: EdgeColoring, L: ListAssignmen
                 "overloaded": elim_over,
                 "conflict_or_used": elim_conf_used,
             })
-        chosen = survivors[0]
+        chosen = census.four_cycle(e, survivors[0], images)
         cycles.append(chosen)
         records.append(SelectionRecord(e, len(all_cycles), len(allowed),
                                        elim_over, elim_conf_used, len(survivors)))
         used |= chosen.edge_mask
+        for w in chosen.vertices:
+            load[w] += 2
     result = apply_swaps(hprime, cycles)
-    remaining = conflict_edges(g, result, L)
+    remaining = conflict_edges(g, result, census.L)
     if remaining:
         raise SwapPlanStuck(min(remaining), {"post_swap_conflicts": len(remaining)})
     return result, SwapPlan(tuple(cycles), tuple(records))
@@ -475,36 +501,36 @@ def solve_sparse(cg: ColoredGraph, L: ListAssignment, params: SolverParams | Non
         params = default_params(cg.d, cg.s_measured)
     if strategy is None:
         strategy = RandomSearch(trials=DEFAULT_TRIALS, seed=0)
+    checker = _Checker(cg, L, params)
     try:
-        rho, _, trials = _search_permutation(_Checker(cg, L, params).accepts, cg.d, strategy)
+        rho, _, trials = _search_permutation(checker.accepts, cg.d, strategy)
     except PermutationSearchFailed as exc:
         return SolveResult(None, None, None, exc.trials, FailureReport(
             "permutation", str(exc), trials=exc.trials))
     hprime = apply_permutation(cg.coloring, rho)
     try:
-        final, plan = construct_swap_plan(cg, hprime, L, params)
+        final, plan = _swap_plan(checker, (0, *rho.images), hprime, params)
     except SwapPlanStuck as exc:
         return SolveResult(None, rho, None, trials, FailureReport(
             "swap", str(exc), stuck_edge=exc.edge, eliminated=exc.eliminated))
     return _verified(cg, L, final, rho, plan, trials)
 
 
-def _disjoint_cycle_system(cg: ColoredGraph, f: EdgeColoring,
-                           L: ListAssignment) -> list[FourCycle] | None:
-    """One allowed cycle per conflict edge of f, pairwise edge-disjoint, or None.
+def _disjoint_cycle_system(census: _Checker, images,
+                           conflicts: list[int]) -> list[FourCycle] | None:
+    """One allowed cycle per conflict edge, pairwise edge-disjoint, or None.
 
     Backtracks over each conflict's allowed cycles in (z, t) order, conflicts
     in ascending edge order, on an explicit stack (no recursion limit).
     """
-    options = [allowed for _, _, allowed in
-               _candidates(cg, f, L, conflict_edges(cg.graph, f, L))]
+    options = [(e, allowed) for e, _, allowed in census.candidates(images, conflicts)]
     picks: list[int] = []  # picks[i]: the index in options[i] of conflict i's cycle
     used = [0]  # used[i]: the edges the cycles of the first i picks cover
     start = 0  # the first option to try for the next conflict
     while len(picks) < len(options):
-        row = options[len(picks)]
+        e, row = options[len(picks)]
         for j in range(start, len(row)):
-            mask = row[j].edge_mask
+            mask = 1 << e | 1 << row[j][3] | 1 << row[j][4] | 1 << row[j][5]
             if not used[-1] & mask:
                 picks.append(j)
                 used.append(used[-1] | mask)
@@ -515,7 +541,7 @@ def _disjoint_cycle_system(cg: ColoredGraph, f: EdgeColoring,
                 return None
             start = picks.pop() + 1
             used.pop()
-    return [row[j] for row, j in zip(options, picks)]
+    return [census.four_cycle(e, row[j], images) for (e, row), j in zip(options, picks)]
 
 
 def solve_distance2(cg: ColoredGraph, L: ListAssignment) -> SolveResult:
@@ -531,26 +557,26 @@ def solve_distance2(cg: ColoredGraph, L: ListAssignment) -> SolveResult:
     trial 1 the identity): recoloring whole color classes keeps properness and
     the 4-cycles but changes which edges conflict and which cycles are allowed.
     """
-    h, s = cg.coloring, cg.s_measured
-    _check_colors(L, cg.graph, cg.d)
+    census = _Checker(cg, L)
     if not support_is_distance2_matching(cg, L):
         raise PreconditionViolated("listed edges must form a distance-2 matching")
+    s = cg.s_measured
     for e, colors in L.items():
         if len(colors) > s - 1:
             raise PreconditionViolated(
                 f"list on edge {e} has {len(colors)} colors; at most {s - 1} allowed")
 
     def accept(rho: Permutation):
-        hprime = apply_permutation(h, rho)
-        chosen = _disjoint_cycle_system(cg, hprime, L)
-        return chosen is not None and (hprime, chosen)
+        images = (0, *rho.images)
+        chosen = _disjoint_cycle_system(census, images, census.conflicts(images))
+        return chosen is not None and (chosen,)
 
     try:
-        rho, (hprime, chosen), trials = _search_permutation(
+        rho, (chosen,), trials = _search_permutation(
             accept, cg.d, RandomSearch(trials=DEFAULT_TRIALS, seed=0))
     except PermutationBudgetExceeded as exc:
         return SolveResult(None, None, None, exc.trials, FailureReport(
             "swap-search", "no edge-disjoint system of allowed cycles found",
             trials=exc.trials))
-    plan = SwapPlan(tuple(chosen))
-    return _verified(cg, L, apply_swaps(hprime, chosen), rho, plan, trials)
+    final = apply_swaps(apply_permutation(cg.coloring, rho), chosen)
+    return _verified(cg, L, final, rho, SwapPlan(tuple(chosen)), trials)

@@ -613,3 +613,104 @@ def ref_dumps_instance(inst):
     """The reference writer for ``dumps_instance``: the whole document
     through the standard library's indenting encoder."""
     return json.dumps(to_json_dict(inst), sort_keys=True, indent=2) + "\n"
+
+
+def ref_t_neighborhood(g, e, t):
+    """``t_neighborhood`` on the edge-ball kernel: the bits of W_t(e), read off
+    ``Graph.edge_balls(t)``."""
+    if not 0 <= e < g.m:
+        raise ValueError("edge index out of range")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    mask = g.nbhd_mask(e, t)
+    return frozenset(i for i in range(g.m) if mask >> i & 1)
+
+
+def ref_swap_allowed(L, cyc):
+    """The swap rule on a ``FourCycle``, as the solver coded it before its
+    census: swapping cyc puts color a on vz and tu and color b on uv and zt,
+    and is allowed when none of the four lists holds its edge's new color."""
+    get = L.lists.get
+    a, b = cyc.color_a, cyc.color_b
+    return not (a in get(cyc.e_vz, ()) or a in get(cyc.e_tu, ())
+                or b in get(cyc.e_uv, ()) or b in get(cyc.e_zt, ()))
+
+
+def ref_candidates(cg, f, L, conflicts):
+    """The solver's per-trial candidate list before its census: a fresh
+    ``color_table`` of the recolored f, every cycle of each conflict edge as
+    a ``FourCycle``, and (e, cycles, those ``ref_swap_allowed`` keeps sorted
+    by (z, t)) for each conflict in ascending order."""
+    g = cg.graph
+    table = dg.color_table(g, f)
+    for e in sorted(conflicts):
+        cycles = dg.two_colored_cycles_through(g, f, e, table)
+        yield e, cycles, sorted((c for c in cycles if ref_swap_allowed(L, c)),
+                                key=lambda c: (c.z, c.t))
+
+
+def ref_disjoint_cycle_system(cg, f, L):
+    """The distance-2 search on ``ref_candidates`` of the recolored f: one
+    allowed cycle per conflict edge, pairwise edge-disjoint, by backtracking
+    in (z, t) order, conflicts ascending; None when there is none."""
+    options = [allowed for _, _, allowed in
+               ref_candidates(cg, f, L, dg.conflict_edges(cg.graph, f, L))]
+    picks, used, start = [], [0], 0
+    while len(picks) < len(options):
+        row = options[len(picks)]
+        for j in range(start, len(row)):
+            if not used[-1] & row[j].edge_mask:
+                picks.append(j)
+                used.append(used[-1] | row[j].edge_mask)
+                start = 0
+                break
+        else:
+            if not picks:
+                return None
+            start = picks.pop() + 1
+            used.pop()
+    return [row[j] for row, j in zip(options, picks)]
+
+
+def ref_construct_swap_plan(cg, hprime, L, params):
+    """``construct_swap_plan`` on ``ref_candidates``: each conflict's cycles as
+    ``FourCycle``s of the recolored hprime, the corner loads read off
+    ``Graph.edge_balls(0)`` and both side edges' matchings tested."""
+    g, h = cg.graph, cg.coloring
+    es = math.ceil(params.epsilon_s)
+    conflicts = dg.conflict_edges(g, hprime, L)
+    conflict_mask = sum(1 << f for f in conflicts)
+    incident = g.edge_balls(0)
+    class_mask = cg.class_masks()
+    used = 0
+    cycles, records = [], []
+    for e, all_cycles, allowed in ref_candidates(cg, hprime, L, conflicts):
+        used_w4 = used & g.nbhd_mask(e, 4)
+        blocked = conflict_mask | used
+        elim_over = elim_conf_used = 0
+        survivors = []
+        for cyc in allowed:
+            if ((used & incident[cyc.z]).bit_count() >= es
+                    or (used & incident[cyc.t]).bit_count() >= es
+                    or (used_w4 & class_mask[h[cyc.e_vz] - 1]).bit_count() >= es
+                    or (used_w4 & class_mask[h[cyc.e_tu] - 1]).bit_count() >= es):
+                elim_over += 1
+                continue
+            if blocked & (1 << cyc.e_vz | 1 << cyc.e_zt | 1 << cyc.e_tu):
+                elim_conf_used += 1
+                continue
+            survivors.append(cyc)
+        if not survivors:
+            raise dg.SwapPlanStuck(e, {
+                "total": len(all_cycles), "allowed": len(allowed),
+                "not_allowed": len(all_cycles) - len(allowed),
+                "overloaded": elim_over, "conflict_or_used": elim_conf_used})
+        cycles.append(survivors[0])
+        records.append(dg.SelectionRecord(e, len(all_cycles), len(allowed),
+                                          elim_over, elim_conf_used, len(survivors)))
+        used |= survivors[0].edge_mask
+    result = dg.apply_swaps(hprime, cycles)
+    remaining = dg.conflict_edges(g, result, L)
+    if remaining:
+        raise dg.SwapPlanStuck(min(remaining), {"post_swap_conflicts": len(remaining)})
+    return result, dg.SwapPlan(tuple(cycles), tuple(records))

@@ -11,7 +11,7 @@ that color can block. ``ref_check`` evaluates those rows, and ``check`` must
 equal it under several permutations, on generated beta-sparse lists and on
 clustered lists where listed edges, empty lists among them, share cycles.
 A second reference counts, per edge, the cycles of the recolored graph
-that ``_swap_allowed`` refuses.
+that the swap rule refuses (``ref_swap_allowed``, its ``FourCycle`` coding).
 """
 
 import math
@@ -26,9 +26,9 @@ from hypothesis import strategies as st
 import dsgraph as dg
 from dsgraph import solver
 from dsgraph.constructors import ColoredGraph
-from dsgraph.graph_core import Graph, t_neighborhood
-from dsgraph.solver import _Checker, _swap_allowed
-from tests.conftest import random_lists
+from dsgraph.graph_core import Graph
+from dsgraph.solver import _Checker
+from tests.conftest import random_lists, ref_swap_allowed, ref_t_neighborhood
 from tests.test_cycle_census import ref_color_table, ref_cycles_through
 from tests.test_neighborhood_kernel import BUILDERS, instance
 
@@ -72,7 +72,7 @@ def ref_check(cg, L, rho, params):
         group = {e for e in conf if h[e] == m}
         seen = set()
         for a in range(g.m):
-            w6 = t_neighborhood(g, a, 6)
+            w6 = ref_t_neighborhood(g, a, 6)
             if w6 not in seen and len(w6 & group) > gs:
                 seen.add(w6)
                 wa.append((a, m, len(w6 & group)))
@@ -215,7 +215,7 @@ def test_c_counts_the_cycles_swap_allowed_refuses(label, kind, seed, rnd, tau8):
                              Fraction(1, 2))
     f = dg.apply_permutation(h, rho)
     refused = [sum(1 for cyc in dg.two_colored_cycles_through(g, f, e)
-                   if not _swap_allowed(L, cyc)) for e in range(g.m)]
+                   if not ref_swap_allowed(L, cyc)) for e in range(g.m)]
     expected = tuple((e, cnt) for e, cnt in enumerate(refused)
                      if cnt > math.floor(params.tau_s))
     assert _Checker(cg, L, params).check(rho).witnesses_c == expected

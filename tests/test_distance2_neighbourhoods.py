@@ -2,11 +2,14 @@
 
 ``generate_distance2`` marks the closed neighbourhoods of the edges it
 admits, and ``is_distance_t_matching`` searches breadth-first from the ends
-of each selected edge; both read ``Graph.adjacency``. They are held here to
-their edge-ball versions, kept in ``tests/conftest.py`` as references, and to
+of each selected edge; in the distance-2 stages both read the partner rows
+a certified graph keeps, or ``Graph.adjacency`` where it has none. They are
+held here to their edge-ball versions, kept in ``tests/conftest.py`` as
+references, and to
 resource contracts: no stage of a cold distance-2 pipeline builds an edge
-ball of any radius, and the generate-and-check stage's memory grows about
-linearly in m.
+ball of any radius or ``Graph.adjacency``, nor more than one color table per
+loaded graph, and the generate-and-check stage's memory grows about linearly
+in m.
 """
 
 import functools
@@ -18,10 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsgraph as dg
+from dsgraph import constructors, solver
 from dsgraph.constructors import ColoredGraph
 from dsgraph.graph_core import Graph
 from dsgraph.instance_io import load_instance, save_instance
 from tests.conftest import ref_generate_distance2, ref_is_distance_t_matching
+from tests.test_cold_load import unbuilt
 
 FAMILIES = {
     "Q3": lambda: dg.hypercube(3),
@@ -177,6 +182,42 @@ def test_cold_distance2_stages_build_no_edge_ball(tmp_path, monkeypatch):
     assert dg.verify_solution(cg, inst.solution, inst.lists)
     stages["verify"] = list(calls)
     assert stages == {"load": [], "generate": [], "solve": [], "verify": []}
+
+
+def test_cold_distance2_stages_read_the_kept_certificate(tmp_path, monkeypatch):
+    # the same chain: no stage builds Graph.adjacency, only the solve stage
+    # builds a standard color table, one, and a solve applies one
+    # permutation, the accepted one
+    tables, permutations = [], []
+    color_table, apply_permutation = constructors.color_table, solver.apply_permutation
+    monkeypatch.setattr(constructors, "color_table",
+                        lambda g, f: tables.append(id(g)) or color_table(g, f))
+    monkeypatch.setattr(solver, "apply_permutation",
+                        lambda h, rho: permutations.append(rho) or apply_permutation(h, rho))
+    path = tmp_path / "q7.json"
+    save_instance(dg.from_colored_graph(dg.hypercube(7)), path)
+
+    def load():
+        inst = load_instance(path)
+        return inst, dg.to_colored_graph(inst)
+
+    graphs = []
+    inst, cg = load()
+    graphs.append(cg.graph)
+    inst.lists = dg.generate_distance2(cg, 0, cg.s_measured - 1)
+    save_instance(inst, path)
+    inst, cg = load()
+    graphs.append(cg.graph)
+    result = dg.solve_distance2(cg, inst.lists)
+    assert result.ok
+    assert permutations == [result.permutation]
+    inst.solution = result.coloring
+    save_instance(inst, path)
+    inst, cg = load()
+    graphs.append(cg.graph)
+    assert dg.verify_solution(cg, inst.solution, inst.lists)
+    assert all("adjacency" in unbuilt(g) for g in graphs)
+    assert tables == [id(graphs[1])]
 
 
 # The generate-and-check stage's resource contract: a tracemalloc peak that

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsgraph as dg
-from tests.conftest import are_edge_disjoint, random_lists, vertex_used_counts
+from tests.conftest import (are_edge_disjoint, random_lists, ref_candidates,
+                            vertex_used_counts)
 
 ARTIFACTS = Path(__file__).resolve().parent / "artifacts" / "distance2_exhaustion"
 
@@ -281,7 +282,7 @@ def test_solve_distance2_solves_archived_exhaustion_inputs():
 def recursive_disjoint_cycle_system(cg, f, L):
     """The recursive backtracking search the explicit stack replaced."""
     options = [allowed for _, _, allowed in
-               dg.solver._candidates(cg, f, L, dg.conflict_edges(cg.graph, f, L))]
+               ref_candidates(cg, f, L, dg.conflict_edges(cg.graph, f, L))]
     chosen = []
 
     def extend(i, used):
@@ -307,9 +308,11 @@ def test_disjoint_cycle_system_keeps_the_recursive_search_order():
                for cg in (dg.hypercube(3), dg.hypercube(4)) for seed in range(20)]
     outcomes = set()
     for cg, L in inputs:
+        census = dg.solver._Checker(cg, L)
         for images in dg.RandomSearch(trials=6, seed=1).candidates(cg.d):
             f = dg.apply_permutation(cg.coloring, dg.Permutation(images))
-            got = dg.solver._disjoint_cycle_system(cg, f, L)
+            rho = (0, *images)  # rho[c] is the image of color c
+            got = dg.solver._disjoint_cycle_system(census, rho, census.conflicts(rho))
             assert got == recursive_disjoint_cycle_system(cg, f, L)
             outcomes.add(got is None)
     assert outcomes == {True, False}

@@ -8,16 +8,17 @@ makes one pass over the (vertex, color) slots, and takes the measured s from
 a fresh cycle census (compute_s); the claimed s of the underlying
 construction is stored alongside. On a palette of at most twice the average
 degree that pass builds the census's partner rows, which refuse a repeated
-slot, so properness comes from them; only when they refuse, or on a wider
-palette, does ``properness_witness`` scan the edges, and it names the two
-edges that share a color. The ColoredGraph keeps those rows until a
-distance-2 stage reads them as its vertex neighbourhoods, and the standard
-color table once a solver reads it, so later stages build neither
-``Graph.adjacency`` nor a second table. All constructors except
-cayley_abelian treat a measured value below the claim as a bug and raise;
-cayley_abelian records the shortfall and warns instead, because its claim is
-known not to hold on every admissible input (see the Z_6 regression in the
-test suite).
+slot: they are the test of ``properness_witness``, the package's one
+properness test, built here once so that the census and the graph keep
+them. Only when they refuse, or on a wider palette, does
+``properness_witness`` run, and it names the two edges that share a color.
+The ColoredGraph keeps those rows until a distance-2 stage reads them as its
+vertex neighbourhoods, and the standard color table once a solver reads it,
+so later stages build neither ``Graph.adjacency`` nor a second table. All
+constructors except cayley_abelian treat a measured value below the claim as
+a bug and raise; cayley_abelian records the shortfall and warns instead,
+because its claim is known not to hold on every admissible input (see the
+Z_6 regression in the test suite).
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ _VERTEX_CAP = 1 << HYPERCUBE_DIM_CAP
 # color-table slots n * (d + 1); a Cayley graph of order 4096 with d = 4095,
 # the widest constructor output, sits exactly at the cap
 _COLOR_TABLE_CAP = CAYLEY_ORDER_CAP * CAYLEY_ORDER_CAP
+# (edge, color) pairs m * d that list_assignments.generate_sparse lists before
+# its scan, 40 bytes each on 64-bit CPython (a pointer and an int): Q16 and
+# Q8 x Q8 sit exactly at the cap, which bounds the list at 320 MiB
+_LIST_PAIRS_CAP = HYPERCUBE_DIM_CAP * _PRODUCT_EDGE_CAP
 
 
 def _check_size(n: int, d: int) -> None:
@@ -129,8 +134,9 @@ def _certify(graph: Graph, coloring: EdgeColoring, s_claimed: int | None,
     name = family.get("name") or "instance"  # a loaded file may carry no family
     if len(coloring) != graph.m or not coloring.is_total:  # a hand-built Instance
         raise CertificationFailed(f"{name}: coloring must color each of the {graph.m} edges")
-    # on a narrow palette the census rows refuse a repeated slot, so the
-    # ordered scan runs only to name it, or on a wide palette, which has no rows
+    # the rows are properness_witness's own test, built here so that the
+    # census and the graph keep them; it runs only to name a repeat they
+    # refuse, or on a wide palette, which has no rows
     rows = _census_rows(graph, coloring)
     witness = properness_witness(graph, coloring) if rows is None else None
     if witness is not None:

@@ -57,8 +57,12 @@ The census behind the certified s, ``compute_s``, needs only how many
 cycles pass through each edge, so on a proper, total coloring it counts per
 color pair, at C level, the vertices where the walk c, a, c, a closes. The
 partner rows of that count hold each (vertex, color) slot once, so building
-them also tests properness, which is how a certification checks it, and a
-certified ``ColoredGraph`` keeps them for its vertex neighbourhoods. Other
+them also tests properness: on a narrow palette they are the package's one
+properness test, ``properness_witness``, which a certification,
+``is_proper`` and the verification of a solution all read, and a certified
+``ColoredGraph`` keeps the rows of its standard coloring for its vertex
+neighbourhoods. Where there are no rows a C-level count of the slot set
+decides, and only a repeat runs the ordered scan that names it. Other
 colorings, and palettes much wider than the degree, are counted edge by edge
 with ``_cycle_tuples`` on a table of only the 2m slots that hold an edge.
 """
@@ -370,10 +374,15 @@ def properness_witness(g: Graph,
                        f: EdgeColoring) -> tuple[int, int, int, int] | None:
     """First repeated color at a vertex, as (earlier edge, edge, color, vertex).
 
-    Each edge writes the color-table slots (u, c) and (v, c). When a count
-    made at C level finds all those slots distinct there is no witness; only
-    otherwise does the ordered scan run to name one.
+    Each edge writes the color-table slots (u, c) and (v, c). On a narrow
+    palette the partner rows of ``_census_rows`` are the test: they refuse
+    any repeated slot, so rows that build mean no witness. Where there are
+    no rows (a wide palette, or a narrow one they refused) a count made at
+    C level over the set of those slots decides, and only when it finds a
+    repeat does the ordered scan run, to name the witness.
     """
+    if _census_rows(g, f) is not None:
+        return None
     colors = f.colors
     slots = set(zip(g.tails, colors))
     slots.update(zip(g.heads, colors))
@@ -531,7 +540,9 @@ def compute_s(g: Graph, f: EdgeColoring, rows: list[list[int]] | None = None) ->
     cycles. Each pair adds its fixed points to the (vertex, a) and
     (vertex, c) lanes of one integer per color, and s - 1 is the least lane
     of a slot that holds an edge. A lane is wide enough for d (the sink lane
-    reaches d - 1). Any other coloring, and a wide palette, counts the tuples
+    reaches d - 1). When every pair closes at every vertex, as on Q_d and
+    K_{2^t,2^t}, every lane holds d - 1 and s = d is returned without
+    reading them. Any other coloring, and a wide palette, counts the tuples
     of ``_cycle_tuples`` edge by edge, on a table of the 2m slots that hold
     an edge, each edge trying the colors that both its ends see.
     """
@@ -561,6 +572,7 @@ def compute_s(g: Graph, f: EdgeColoring, rows: list[list[int]] | None = None) ->
     fixed = tuple(range(sink + 1))
     steps = [itemgetter(*row) for row in rows]  # steps[c](x)[w] = x[p_c[w]]
     counts = [0] * (d + 1)
+    short = False  # some pair's cycles miss a vertex
     for a in range(1, d):
         pa = rows[a]
         for c in range(a + 1, d + 1):
@@ -569,10 +581,13 @@ def compute_s(g: Graph, f: EdgeColoring, rows: list[list[int]] | None = None) ->
             if q == fixed:  # every vertex lies on an a-c cycle, as when s = d
                 lane = every
             else:
+                short = True
                 buf[low::width] = bytes(map(eq, q, fixed))
                 lane = int.from_bytes(buf, order)
             counts[a] += lane
             counts[c] += lane
+    if not short:  # every lane holds d - 1
+        return d
     lanes = b"".join(map(int.to_bytes, counts[1:], repeat(len(buf)), repeat(order)))
     return 1 + min(compress(memoryview(lanes).cast(code),
                             map(ne, chain.from_iterable(rows[1:]), repeat(sink))))
@@ -669,6 +684,13 @@ def apply_swaps(f: EdgeColoring, cycles) -> EdgeColoring:
     Preserves properness and every vertex's color set.
     """
     colors = list(f.colors)
+    _swap_in_place(colors, cycles)
+    return EdgeColoring(tuple(colors), f.d)
+
+
+def _swap_in_place(colors, cycles) -> None:
+    """``apply_swaps`` on a mutable color sequence (a list or a bytearray),
+    in place: each cycle checked two-colored, then its colors exchanged."""
     for c in cycles:
         ca, cb = colors[c.e_uv], colors[c.e_vz]
         if ca == cb or colors[c.e_zt] != ca or colors[c.e_tu] != cb:
@@ -676,7 +698,6 @@ def apply_swaps(f: EdgeColoring, cycles) -> EdgeColoring:
                 f"cycle {c.vertices} is not two-colored under this coloring")
         colors[c.e_uv] = colors[c.e_zt] = cb
         colors[c.e_vz] = colors[c.e_tu] = ca
-    return EdgeColoring(tuple(colors), f.d)
 
 
 def swap_cycle(f: EdgeColoring, c: FourCycle) -> EdgeColoring:

@@ -20,8 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructors import ColoredGraph
-from .errors import ColorOutOfRange, InvalidBound
+from .constructors import _LIST_PAIRS_CAP, ColoredGraph
+from .errors import ColorOutOfRange, InvalidBound, ResourceLimit
 # is_distance_t_matching is unused here but wrapped by perfbench/tracing.py.
 from .graph_core import (EdgeColoring, Graph, _bits, _is_distance_t_matching, _steps,
                          add_count, is_distance_t_matching)
@@ -181,6 +181,10 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
     admission under k brings the admitted edge's own anchor to cap, all of
     its W6 is dead for k. Once the dead edges of every key of a nonempty
     matching cover that matching's class, the rest of the shuffle is skipped.
+
+    Raises ResourceLimit before the pairs are listed when there are more
+    than ``constructors._LIST_PAIRS_CAP`` of them, or when the W6 balls
+    would pass ``graph_core.EDGE_BALL_BYTES_CAP``.
     """
     g, h, d = cg.graph, cg.coloring, cg.d
     beta = Fraction(beta)
@@ -189,11 +193,13 @@ def generate_sparse(cg: ColoredGraph, beta, seed: int) -> ListAssignment:
     cap = math.floor(beta * cg.s_measured)
     if cap < 1:
         return EMPTY
+    if g.m * d > _LIST_PAIRS_CAP:
+        raise ResourceLimit(f"{g.m * d} (edge, color) pairs above cap {_LIST_PAIRS_CAP}")
+    balls = g.edge_balls(6)
     # pair p stands for edge p // d and color p % d + 1
     pairs = list(range(g.m * d))
     _shuffle(random.Random(seed), pairs)
     edges, colors = g.edges, h.colors
-    balls = g.edge_balls(6)
     lists: dict[int, set[int]] = {}
     sizes = [0] * g.m
     full = [0] * g.n  # per vertex w, bit c - 1 set once color c is at cap at w

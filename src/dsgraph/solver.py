@@ -35,8 +35,8 @@ from .errors import (PermutationBudgetExceeded, PermutationNotFound,
 # is_proper, swap_cycle and t_neighborhood are unused here, and the solvers
 # read neither allowed_cycles nor the two_colored_cycles_through it calls, but
 # perfbench/tracing.py wraps them.
-from .graph_core import (EdgeColoring, FourCycle, Graph, _cycle_tuples, apply_swaps,
-                         color_table, is_proper, properness_witness, swap_cycle,
+from .graph_core import (EdgeColoring, FourCycle, Graph, _cycle_tuples, _swap_in_place,
+                         apply_swaps, color_table, is_proper, properness_witness, swap_cycle,
                          t_neighborhood, two_colored_cycles_through)
 from .list_assignments import (ListAssignment, _check_colors, _crowded, _shuffle,
                                conflict_edges, support_is_distance2_matching)
@@ -133,8 +133,17 @@ def apply_permutation(h: EdgeColoring, rho: Permutation) -> EdgeColoring:
     """Recolor every edge through rho; color classes move as whole matchings."""
     if rho.d != h.d:
         raise ValueError("permutation size does not match color count")
-    images = (0, *rho.images)  # the uncolored slot 0 stays 0
-    return EdgeColoring(tuple(map(images.__getitem__, h.colors)), h.d)
+    return EdgeColoring(tuple(_recolored(h.colors, (0, *rho.images))), h.d)
+
+
+def _recolored(colors, images) -> bytearray | list[int]:
+    """colors mapped through images (``images[c]`` = rho(c), and 0 stays 0),
+    as a new mutable sequence. When every color fits a byte (d < 256) the
+    map is one ``bytes.translate`` at C level; wider palettes map item by
+    item."""
+    if len(images) <= 256:
+        return bytearray(colors).translate(bytes(images).ljust(256, b"\0"))
+    return list(map(images.__getitem__, colors))
 
 
 @dataclass(frozen=True)
@@ -467,7 +476,10 @@ def find_violation(g: Graph, f: EdgeColoring,
                    L: ListAssignment) -> tuple[int, int, int, int] | int | None:
     """The ``properness_witness`` of f, else its least conflict edge, else None.
 
-    Does not check that f is total or has g.m colors.
+    Properness is decided by the partner rows of f on a narrow palette and by
+    a count of its (vertex, color) slots where there are no rows; the ordered
+    scan runs only to name a repeat. Does not check that f is total or has
+    g.m colors.
     """
     return properness_witness(g, f) or min(conflict_edges(g, f, L), default=None)
 
@@ -578,5 +590,8 @@ def solve_distance2(cg: ColoredGraph, L: ListAssignment) -> SolveResult:
         return SolveResult(None, None, None, exc.trials, FailureReport(
             "swap-search", "no edge-disjoint system of allowed cycles found",
             trials=exc.trials))
-    final = apply_swaps(apply_permutation(cg.coloring, rho), chosen)
+    # recolor and swap in one buffer, then build one EdgeColoring
+    colors = _recolored(cg.coloring.colors, (0, *rho.images))
+    _swap_in_place(colors, chosen)
+    final = EdgeColoring(tuple(colors), cg.d)
     return _verified(cg, L, final, rho, SwapPlan(tuple(chosen)), trials)

@@ -93,6 +93,25 @@ def are_vertex_disjoint(cycles):
     return True
 
 
+def ref_properness_witness(g, f):
+    """``properness_witness`` as it stood before the partner rows became its
+    test on a narrow palette: a set of the (vertex, color) slots, counted at
+    C level, and the ordered scan for the first slot written twice when the
+    count finds a repeat."""
+    colors = f.colors
+    slots = set(zip(g.tails, colors))
+    slots.update(zip(g.heads, colors))
+    if len(slots) == 2 * min(g.m, len(colors)):
+        return None
+    seen = [{} for _ in range(g.n)]
+    for e, ((u, v), c) in enumerate(zip(g.edges, colors)):
+        for w in (u, v):
+            first = seen[w].setdefault(c, e)
+            if first != e:
+                return first, e, c, w
+    return None
+
+
 def ref_generate_sparse(cg, beta, seed):
     """``generate_sparse`` as it stood before its state went into flat lists:
     (edge, color) tuples shuffled by ``random.Random.shuffle``, a Counter per

@@ -9,9 +9,14 @@ the eager build they replaced, count the certification's calls, and bound the
 load stage's memory as the graph grows.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -163,26 +168,43 @@ def test_class_masks_equal_the_standard_matchings(label):
 
 # The load stage's resource contract: one partner-row pass per certified
 # load, and a tracemalloc peak that grows about linearly in m. Measured on
-# Q5 -> Q6 -> Q7 (m = 80, 192, 448): peaks of 15.2, 36.9 and 88.1 KB, growth
-# exponents 1.01 and 1.03.
+# Q10 -> Q11 -> Q12 (m = 5120, 11264, 24576): peaks of 1387, 3177 and 7081
+# KB, growth exponents 1.05 and 1.03. Each rung loads in a fresh
+# interpreter: in one that has run other tests, the free lists (up to 2000
+# tuples of each small size) hold a state that moved a Q9 -> Q10 step from
+# 1.07 to 1.105 in a full tier-1 run. The rungs start at Q10 because vertex
+# ids below 256 are the interpreter's cached small ints, which a parsed edge
+# list does not allocate: all of Q8's and half of Q9's, so the steps
+# Q8 -> Q9 and Q9 -> Q10 read 1.16 and 1.09.
 LOAD_PEAK_EXPONENT = 1.1
 
+LOAD_RUNG = """
+import json, sys, tracemalloc
+from dsgraph import graph_core, instance_io
+calls = []
+partner_rows = graph_core._partner_rows
+graph_core._partner_rows = lambda *args: calls.append(args) or partner_rows(*args)
+tracemalloc.start()
+cg = instance_io.to_colored_graph(instance_io.load_instance(sys.argv[1]))
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps([cg.graph.m, peak, len(calls), list(vars(cg.graph))]))
+"""
 
-def test_load_stage_ladder(tmp_path, monkeypatch):
-    rows = _counting(monkeypatch, graph_core, "_partner_rows")
+
+def test_load_stage_ladder(tmp_path):
+    package_root = str(Path(dg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     rungs = []
-    for d in (5, 6, 7):
+    for d in (10, 11, 12):
         path = tmp_path / f"q{d}.json"
         save_instance(dg.from_colored_graph(dg.hypercube(d)), path)
-        rows.clear()
-        tracemalloc.start()
-        try:
-            cg = instance_io.to_colored_graph(load_instance(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(rows) == 1
-        assert unbuilt(cg.graph) == list(LAZY)
-        rungs.append((cg.graph.m, peak))
+        child = subprocess.run([sys.executable, "-c", LOAD_RUNG, str(path)], env=env,
+                               capture_output=True, text=True, check=True)
+        m, peak, calls, built = json.loads(child.stdout)
+        assert calls == 1
+        assert not set(LAZY) & set(built)
+        rungs.append((m, peak))
     for (m0, p0), (m1, p1) in zip(rungs, rungs[1:]):
         assert math.log(p1 / p0) / math.log(m1 / m0) < LOAD_PEAK_EXPONENT

@@ -186,14 +186,15 @@ def test_cold_distance2_stages_build_no_edge_ball(tmp_path, monkeypatch):
 
 def test_cold_distance2_stages_read_the_kept_certificate(tmp_path, monkeypatch):
     # the same chain: no stage builds Graph.adjacency, only the solve stage
-    # builds a standard color table, one, and a solve applies one
-    # permutation, the accepted one
+    # builds a standard color table, one, and a solve recolors once, by
+    # the accepted permutation
     tables, permutations = [], []
-    color_table, apply_permutation = constructors.color_table, solver.apply_permutation
+    color_table, recolored = constructors.color_table, solver._recolored
     monkeypatch.setattr(constructors, "color_table",
                         lambda g, f: tables.append(id(g)) or color_table(g, f))
-    monkeypatch.setattr(solver, "apply_permutation",
-                        lambda h, rho: permutations.append(rho) or apply_permutation(h, rho))
+    monkeypatch.setattr(solver, "_recolored",
+                        lambda colors, images: permutations.append(images[1:]) or
+                        recolored(colors, images))
     path = tmp_path / "q7.json"
     save_instance(dg.from_colored_graph(dg.hypercube(7)), path)
 
@@ -210,7 +211,7 @@ def test_cold_distance2_stages_read_the_kept_certificate(tmp_path, monkeypatch):
     graphs.append(cg.graph)
     result = dg.solve_distance2(cg, inst.lists)
     assert result.ok
-    assert permutations == [result.permutation]
+    assert permutations == [result.permutation.images]
     inst.solution = result.coloring
     save_instance(inst, path)
     inst, cg = load()

@@ -12,7 +12,7 @@ import dsgraph as dg
 from dsgraph import graph_core
 from dsgraph.graph_core import Graph
 from tests.conftest import (are_edge_disjoint, are_vertex_disjoint, edge_distance, edge_set,
-                            vertex_color_set)
+                            ref_properness_witness, vertex_color_set)
 from tests.test_cycle_census import (LABELS, LOOP_GRAPH, graph_and_coloring, recolor,
                                      ref_color_table, ref_compute_s, ref_cycles_through)
 
@@ -159,17 +159,6 @@ def test_edge_coloring_range_check_matches_the_ordered_scan(colors, d):
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
             dg.EdgeColoring(tuple(colors), d)
-
-
-def ref_properness_witness(g, f):
-    """The ordered scan alone: the first vertex slot written twice."""
-    seen = [{} for _ in range(g.n)]
-    for e, ((u, v), c) in enumerate(zip(g.edges, f.colors)):
-        for w in (u, v):
-            first = seen[w].setdefault(c, e)
-            if first != e:
-                return first, e, c, w
-    return None
 
 
 @settings(deadline=None, max_examples=150)

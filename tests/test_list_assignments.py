@@ -98,6 +98,28 @@ def test_generate_sparse_zero_beta_is_empty(q3):
     assert dg.generate_sparse(q3, 0, 9) == dg.EMPTY
 
 
+def test_generate_sparse_refuses_too_many_pairs_before_listing_them(monkeypatch):
+    beta = Fraction(1, 3)
+    expected = dg.generate_sparse(dg.hypercube(3), beta, 5)
+    # Q3 has m * d = 12 * 3 = 36 pairs: admitted at the cap, with the same lists
+    monkeypatch.setattr(list_assignments, "_LIST_PAIRS_CAP", 36)
+    assert dg.generate_sparse(dg.hypercube(3), beta, 5) == expected
+    monkeypatch.setattr(list_assignments, "_LIST_PAIRS_CAP", 35)
+    cg = dg.hypercube(3)
+    shuffles = []
+    monkeypatch.setattr(list_assignments, "_shuffle", lambda *a: shuffles.append(a))
+    with pytest.raises(dg.ResourceLimit, match=r"^36 \(edge, color\) pairs above cap 35$"):
+        dg.generate_sparse(cg, beta, 5)
+    assert shuffles == [] and cg.graph._balls == {}  # refused before either was built
+    assert dg.generate_sparse(cg, 0, 5) == dg.EMPTY  # no scan, nothing to refuse
+
+
+def test_the_pair_cap_admits_q16_and_k128_128():
+    cap = list_assignments._LIST_PAIRS_CAP
+    assert 16 * (16 << 15) <= cap <= 1 << 24  # Q16: d = 16, m = 16 * 2^15
+    assert 128 * 128 * 128 <= cap  # K128,128: d = 128, m = 128^2
+
+
 def test_generate_sparse_deterministic_per_seed(q4):
     a = dg.generate_sparse(q4, Fraction(1, 4), 12)
     b = dg.generate_sparse(q4, Fraction(1, 4), 12)

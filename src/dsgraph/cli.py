@@ -21,7 +21,7 @@ from .constructors import (CayleySpec, CyclicProduct, cartesian_product, cayley_
                            cayley_involutions, complete_bipartite_pow2, hypercube,
                            remove_standard_matchings)
 from .errors import DsgraphError, OracleBudgetExceeded, PreconditionViolated
-from .graph_core import _cycle_tuples, color_table
+from .graph_core import _cycle_tuples
 from .instance_io import (from_colored_graph, load_instance, save_instance,
                           to_colored_graph)
 from .list_assignments import EMPTY, generate_distance2, generate_sparse
@@ -98,7 +98,7 @@ def cmd_analyze(args) -> int:
     sizes = {c: 0 for c in range(1, cg.d + 1)}
     for c in f.colors:
         sizes[c] += 1
-    table = color_table(g, f)  # f is proper: certified above
+    table = cg.standard_table()  # f is proper: certified above
     counts = [len(_cycle_tuples(g, f.colors, range(1, f.d + 1), e, table, True))
               for e in range(g.m)]
     info = {

@@ -71,24 +71,23 @@ class ColoredGraph:
     s_claimed: int
     s_measured: int
     family: dict = field(repr=False)
-    # the ``class_masks``, empty until the first call; init=False, so
-    # dataclasses.replace gives the new graph an empty one
-    _class_masks: list = field(default_factory=list, init=False, repr=False)
     # the certification's partner rows ("rows") until ``neighbours`` reads
-    # them across and drops them, then "neighbours", and "table" (the
-    # ``standard_table``); empty after replace too
+    # them across and drops them, then "neighbours", "table" (the
+    # ``standard_table``) and "masks" (the ``class_masks``); init=False, so
+    # dataclasses.replace gives the new graph an empty one
     _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def class_masks(self) -> list[int]:
         """The color classes of the standard coloring as edge bitmasks, index
         c - 1 for color c; built on the first call, in one pass over the
         colors, and kept."""
-        if not self._class_masks:
+        kept = self._kept
+        if "masks" not in kept:
             masks = [0] * (self.coloring.d + 1)
             for e, c in enumerate(self.coloring.colors):
                 masks[c] |= 1 << e
-            self._class_masks.extend(masks[1:])
-        return self._class_masks
+            kept["masks"] = masks[1:]
+        return kept["masks"]
 
     def neighbours(self) -> tuple[tuple[int, ...], ...] | None:
         """Per vertex w, the far end of its edge of each color 1..d, or the sink

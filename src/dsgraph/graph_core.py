@@ -61,10 +61,10 @@ them also tests properness: on a narrow palette they are the package's one
 properness test, ``properness_witness``, which a certification,
 ``is_proper`` and the verification of a solution all read, and a certified
 ``ColoredGraph`` keeps the rows of its standard coloring for its vertex
-neighbourhoods. Where there are no rows a C-level count of the slot set
-decides, and only a repeat runs the ordered scan that names it. Other
-colorings, and palettes much wider than the degree, are counted edge by edge
-with ``_cycle_tuples`` on a table of only the 2m slots that hold an edge.
+neighbourhoods. Where there are no rows one ordered scan of the (vertex,
+color) slots decides and names the first repeat. Other colorings, and
+palettes much wider than the degree, are counted edge by edge with
+``_cycle_tuples`` on a table of only the 2m slots that hold an edge.
 """
 
 from __future__ import annotations
@@ -374,24 +374,19 @@ def properness_witness(g: Graph,
                        f: EdgeColoring) -> tuple[int, int, int, int] | None:
     """First repeated color at a vertex, as (earlier edge, edge, color, vertex).
 
-    Each edge writes the color-table slots (u, c) and (v, c). On a narrow
-    palette the partner rows of ``_census_rows`` are the test: they refuse
-    any repeated slot, so rows that build mean no witness. Where there are
-    no rows (a wide palette, or a narrow one they refused) a count made at
-    C level over the set of those slots decides, and only when it finds a
-    repeat does the ordered scan run, to name the witness.
+    Each edge writes the color-table slots (u, c) and (v, c), in edge order,
+    u then v. On a narrow palette the partner rows of ``_census_rows`` are
+    the test: they refuse any repeated slot, so rows that build mean no
+    witness. Everything else (a wide palette, or rows that were refused)
+    goes to one ordered scan over a dict keyed by (vertex, color), which
+    decides and names the first repeat in O(m), whatever n and d.
     """
     if _census_rows(g, f) is not None:
         return None
-    colors = f.colors
-    slots = set(zip(g.tails, colors))
-    slots.update(zip(g.heads, colors))
-    if len(slots) == 2 * min(g.m, len(colors)):
-        return None
-    seen: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for e, ((u, v), c) in enumerate(zip(g.edges, colors)):
+    seen: dict[tuple[int, int], int] = {}
+    for e, (u, v, c) in enumerate(zip(g.tails, g.heads, f.colors)):
         for w in (u, v):
-            first = seen[w].setdefault(c, e)
+            first = seen.setdefault((w, c), e)
             if first != e:
                 return first, e, c, w
     return None

@@ -12,10 +12,10 @@ conflicts or already used. The chosen cycles are pairwise edge-disjoint, so
 swapping them all yields a proper coloring with no conflicts.
 
 A cycle is "allowed" when ``_swap_allowed`` holds: swapping it leaves all four
-edges outside their lists. That one rule decides phase one's (c) and the
-candidates of both phase-two searches, all read off one census per instance
-(``_Checker``) under each trial's permutation, so no trial builds a coloring
-or a color table. Swaps preserve properness and each vertex's color set.
+edges outside their lists. The rule picks both phase-two searches' candidates;
+phase one's (c) counts exactly the cycles it refuses, straight off one census
+per instance (``_Checker``) read under each trial's permutation, so no trial
+builds a coloring or a color table. Swaps preserve properness and color sets.
 """
 
 from __future__ import annotations
@@ -186,11 +186,13 @@ class _Checker:
     relabels colors, so the cycles of rho∘h are those of h: ``_cycle_tuples``
     looks each up once, on the standard table the ColoredGraph keeps, when
     first read, in ``seconds`` per (edge, second color under h) for (c) and
-    in ``cycles`` per conflict edge for phase two. A swap gives each edge of
-    its cycle the cycle's other color, so only a forbidden color x of a
-    listed edge e can refuse a cycle through e, the one whose second color
-    is rho^-1(x); (c) counts those that ``_swap_allowed`` refuses, each once,
-    against each of their edges, in O(sum of the list sizes) per trial.
+    in ``cycles`` per conflict edge for phase two; they stay apart because
+    one per-edge cache of all d - 1 cycles made sweep solves 1.6-3.6 times
+    slower. A swap gives each edge of its cycle the cycle's other color, so
+    the cycle through a listed edge e with second color rho^-1(x), for x in
+    L(e), gives e the color x, and every cycle the swap rule refuses is such
+    a cycle for one of its edges: (c) counts each once against each of its
+    edges, in O(sum of the list sizes) per trial, with no call to the rule.
     Counts are compared with floor(gamma*s) and floor(tau*s), which decides
     as the Fractions would. Phase two passes no params; given a coloring f,
     the census reads f, on a table of its own, in place of h.
@@ -256,18 +258,18 @@ class _Checker:
                 if x in hit}
         for kind, witness, cnt in _crowded(self.cg, conf, self.gs):
             yield "b" if kind == "ii" else "a", (*witness[:-1], cnt)  # drop color 0
-        get, seconds, inverse = self.get, self.seconds, rho.inverse().images
+        seconds, inverse = self.seconds, rho.inverse().images
         g, colors = self.cg.graph, self.f.colors
         blocked = set()  # each refused cycle as its four edges, sorted
-        for image, hit in zip(images, self.hits):
+        for hit in self.hits:
             for x, group in hit.items():
                 b = inverse[x - 1]  # b = h(e) when x = rho(h(e)): no cycle
                 for e in group:
                     if (e, b) not in seconds:
                         seconds[e, b] = _cycle_tuples(g, colors, (b,), e, self.table(), True)
+                    # its swap gives e the color rho(b) = x, which L(e) holds
                     for _, _, _, ez, et, partner in seconds[e, b]:
-                        if not _swap_allowed(get, image, x, e, ez, et, partner):
-                            blocked.add(tuple(sorted((e, ez, et, partner))))
+                        blocked.add(tuple(sorted((e, ez, et, partner))))
         if len(blocked) > ts:  # otherwise no edge lies in more than ts refused cycles
             bad = Counter(itertools.chain.from_iterable(blocked))
             for e in sorted(e for e, cnt in bad.items() if cnt > ts):
@@ -302,14 +304,13 @@ class RandomSearch:
 
 @dataclass(frozen=True)
 class Exhaustive:
-    """Lexicographic scan of all d! permutations; capped to small d."""
+    """Lexicographic scan of all d! permutations, for d <= ``EXHAUSTIVE_D_CAP``."""
 
-    cap: int = EXHAUSTIVE_D_CAP
     exhausted = PermutationNotFound
 
     def candidates(self, d: int):
-        if d > self.cap:
-            raise ResourceLimit(f"exhaustive search needs d <= {self.cap}, got {d}")
+        if d > EXHAUSTIVE_D_CAP:
+            raise ResourceLimit(f"exhaustive search needs d <= {EXHAUSTIVE_D_CAP}, got {d}")
         yield from itertools.permutations(range(1, d + 1))
 
 
@@ -380,8 +381,8 @@ class SwapPlan:
 
 def construct_swap_plan(cg: ColoredGraph, hprime: EdgeColoring, L: ListAssignment,
                         params: SolverParams) -> tuple[EdgeColoring, SwapPlan]:
-    """Pick one allowed cycle per conflict edge of the proper coloring hprime
-    and swap them all.
+    """Pick one allowed cycle per conflict edge of hprime, any proper coloring
+    (hence a census of its own, not h's), and swap them all.
 
     Conflict edges are visited in ascending edge order. A candidate survives
     when (1) neither corner vertex nor the standard matching holding its two
@@ -476,10 +477,9 @@ def find_violation(g: Graph, f: EdgeColoring,
                    L: ListAssignment) -> tuple[int, int, int, int] | int | None:
     """The ``properness_witness`` of f, else its least conflict edge, else None.
 
-    Properness is decided by the partner rows of f on a narrow palette and by
-    a count of its (vertex, color) slots where there are no rows; the ordered
-    scan runs only to name a repeat. Does not check that f is total or has
-    g.m colors.
+    Properness is decided by the partner rows of f on a narrow palette and,
+    where there are no rows, by the ordered scan that also names the repeat.
+    Does not check that f is total or has g.m colors.
     """
     return properness_witness(g, f) or min(conflict_edges(g, f, L), default=None)
 

@@ -93,6 +93,20 @@ def are_vertex_disjoint(cycles):
     return True
 
 
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that records the arguments of
+    each call, for the rest of the test; returns the list of calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def ref_properness_witness(g, f):
     """``properness_witness`` as it stood before the partner rows became its
     test on a narrow palette: a set of the (vertex, color) slots, counted at

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import dsgraph as dg
 from dsgraph import constructors, graph_core, instance_io
 from dsgraph.instance_io import from_json_dict, load_instance, save_instance
-from tests.conftest import ref_graph_indexes
+from tests.conftest import _counting, ref_graph_indexes
 
 LAZY = ("adjacency", "edge_index")
 
@@ -81,18 +81,6 @@ def test_lazy_indexes_equal_the_eager_build(g):
     assert [g.degree(v) for v in range(g.n)] == list(map(len, adjacency))
 
 
-def _counting(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 @pytest.mark.parametrize("build", [lambda: dg.hypercube(5), lambda: dg.complete_bipartite_pow2(3),
                                    lambda: dg.cartesian_product(dg.hypercube(2),
                                                                 dg.complete_bipartite_pow2(2))])
@@ -141,6 +129,23 @@ def test_wide_palette_certification_holds_only_the_edge_slots():
         tracemalloc.stop()
     assert cg.s_measured == 1
     assert peak < 1 << 20
+
+
+def test_naming_a_wide_palette_repeat_holds_only_the_edge_slots():
+    # two edges at vertex 0, both colored 1, with n = 65536 and d = 255: a
+    # scan that kept one dict per vertex would peak at 4.6 MB
+    inst = from_json_dict({"format": "dsgraph-v1", "n": 65536, "d": 255,
+                           "edges": [[0, 1], [0, 2]], "coloring": [1, 1]})
+    tracemalloc.start()
+    try:
+        with pytest.raises(dg.CertificationFailed,
+                           match="edges 0 and 1 share color 1 at vertex 0"):
+            dg.to_colored_graph(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert dg.find_violation(inst.graph, inst.coloring, dg.EMPTY) == (0, 1, 1, 0)
 
 
 CONSTRUCTOR_FAMILIES = {

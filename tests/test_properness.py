@@ -3,8 +3,7 @@
 ``properness_witness`` is the package's one properness test: on a palette
 of at most twice the average degree it builds the partner rows of
 ``graph_core._census_rows``, which refuse a repeated (vertex, color) slot;
-only where there are no rows does a C-level count of the slot set decide,
-and only a repeat runs the ordered scan that names the witness.
+where there are no rows, one ordered scan decides and names the witness.
 ``is_proper``, ``find_violation``, ``verify_solution`` and ``dsgraph
 verify`` all read it. The tests below hold it to the slot-set version it
 replaced (``tests/conftest.py``), count its row builds, bound the verify
@@ -23,8 +22,7 @@ from hypothesis import strategies as st
 import dsgraph as dg
 from dsgraph import graph_core, solver
 from dsgraph.instance_io import from_json_dict
-from tests.conftest import ref_properness_witness
-from tests.test_cold_load import _counting
+from tests.conftest import _counting, ref_properness_witness
 
 
 def greedy_colors(g, rng):

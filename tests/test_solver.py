@@ -100,11 +100,12 @@ def test_find_permutation_random_budget(k44):
     assert ei.value.trials == 7
 
 
-def test_exhaustive_strategy_respects_cap(k88):
+def test_exhaustive_strategy_respects_cap():
+    # K16,16: d = 16 lies above EXHAUSTIVE_D_CAP
     with pytest.raises(dg.ResourceLimit):
-        dg.find_permutation(k88, dg.EMPTY,
-                            dg.SolverParams(8, 8, 0, 0, Fraction(1, 2)),
-                            dg.Exhaustive(cap=7))
+        dg.find_permutation(dg.complete_bipartite_pow2(4), dg.EMPTY,
+                            dg.SolverParams(16, 16, 0, 0, Fraction(1, 2)),
+                            dg.Exhaustive())
 
 
 def test_allowed_cycles_filters_by_all_four_edges(q3):
@@ -336,14 +337,16 @@ def test_verify_solution_cases(q3):
         g.edges.index((0, 1)), g.edges.index((0, 2)), h[g.edges.index((0, 1))], 0)
 
 
-@pytest.mark.parametrize("name", ["q3", "q4", "k44", "q2xk44"])
+@pytest.mark.parametrize("name", ["q3", "q4", "q5", "k44", "k88", "q2xk44"])
 def test_condition_c_counts_match_allowed_cycles(name):
     # the checker's precomputed blocker masks and allowed_cycles against
     # swapping each cycle and looking up its four edges; tau = 0 makes every
     # disallowed cycle a witness. generate_sparse at beta = 1/s gives mostly
     # single colors, the random lists up to two per edge.
     cg = {"q3": lambda: dg.hypercube(3), "q4": lambda: dg.hypercube(4),
+          "q5": lambda: dg.hypercube(5),
           "k44": lambda: dg.complete_bipartite_pow2(2),
+          "k88": lambda: dg.complete_bipartite_pow2(3),
           "q2xk44": lambda: dg.cartesian_product(dg.hypercube(2),
                                                  dg.complete_bipartite_pow2(2))}[name]()
     g, s = cg.graph, cg.s_measured

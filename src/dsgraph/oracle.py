@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import graph_core
 from .errors import ColorOutOfRange, OracleBudgetExceeded, ResourceLimit
 from .graph_core import EdgeColoring, Graph
 from .list_assignments import ListAssignment
 
 DEFAULT_NODE_BUDGET = 10**8
+
+# the most bytes the search's frames may need, checked before any node
+FRAME_BYTES_CAP = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -45,16 +47,20 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
     ``zeros[i]`` is set when bit i of the number of colors in ``avail`` at
     edge e is clear. Set-up counts d at every edge and subtracts each
     color's forbidden mask. Coloring uv with c removes c from the edges in
-    ``lost = avail[c] & (E_0(u) | E_0(v))``, and one borrow chain subtracts
-    that mask into a new plane list, two int operations a plane
-    (``z ^ lost``, then ``lost &= z``). The edges with at most one color
-    are ``unc & zeros[1] & ... & zeros[P-1]``, and the fewest-colors scan
+    ``lost = avail[c] & (E_0(u) | E_0(v))``: an XOR takes them out of
+    ``avail[c]`` and a borrow chain subtracts them from the planes in place,
+    two int operations a plane (``z ^ lost``, then ``lost &= z``), ending
+    as soon as no borrow is left; every edge in ``lost`` had c counted, so
+    it ends by plane P - 1. The edges with at most one color are
+    ``unc & zeros[1] & ... & zeros[P-1]``, and the fewest-colors scan
     keeps, from the top plane down, the edges whose bit is clear wherever
     some edge's is. Whether the picked edge has a color at all is read off
     its own small color mask, ``allowed[e] & ~(used[u] | used[v])``, which
-    the node needs anyway. The frame keeps the previous ``avail[c]`` and
-    plane list, so undoing restores both by reference. An explicit stack
-    keeps the depth (up to m) off the interpreter's recursion limit.
+    the node needs anyway. The frame keeps ``lost``, edges at u or v only,
+    as its undo trail: undoing ORs it back into ``avail[c]`` and adds it
+    back to the planes with a carry chain, which retraces the borrows. An
+    explicit stack keeps the depth (up to m) off the interpreter's
+    recursion limit.
 
     Items. A (w, c) item exists for each vertex w of degree exactly d and
     each color c not yet used at w; its options are the uncolored edges at w
@@ -85,10 +91,11 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
     have changed since: those assigned, and those with an option among the
     half-edges colored.
 
-    Each frame holds P + 1 ints of m bits and, once armed, one of n * F
-    bits, so a graph whose worst case, m * (m * (P + 1) + n * F) / 8 bytes,
-    exceeds ``graph_core.EDGE_BALL_BYTES_CAP`` raises ResourceLimit before
-    the search: Q11 and K64,64 run, Q12 and K128,128 are refused. Raises
+    Each frame holds one int of m bits (``lost``, whose top bit may be
+    edge m - 1) and, once armed, one of n * F bits, so a graph whose worst
+    case, m * (m + n * F) / 8 bytes, exceeds ``FRAME_BYTES_CAP`` raises
+    ResourceLimit before the search: Q12 (228 MiB) and K128,128 (96.5 MiB)
+    run, Q13 (1.04 GiB) is refused. Raises
     ColorOutOfRange for a list on an edge that does not exist (colors
     outside 1..d are ignored, as forbidding nothing), OracleBudgetExceeded
     after ``limit`` assignment attempts, and ValueError for a negative
@@ -97,11 +104,10 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
     if limit < 0:
         raise ValueError(f"node budget must be nonnegative, got {limit}")
     m = g.m
-    width = max(1, d.bit_length())
-    frame_bytes = m * (m * (width + 1) + g.n * (g.max_degree + 1)) // 8
-    if frame_bytes > graph_core.EDGE_BALL_BYTES_CAP:
+    frame_bytes = m * (m + g.n * (g.max_degree + 1)) // 8
+    if frame_bytes > FRAME_BYTES_CAP:
         raise ResourceLimit(f"oracle frames need up to {frame_bytes} bytes, "
-                            f"above cap {graph_core.EDGE_BALL_BYTES_CAP}")
+                            f"above cap {FRAME_BYTES_CAP}")
     full = (1 << d) - 1
     allowed = [full] * m
     forbidden = [0] * d
@@ -114,11 +120,15 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
                 forbidden[c - 1] |= 1 << e
     unc = (1 << m) - 1
     avail = [unc ^ f for f in forbidden]
-    zeros = [0 if d >> i & 1 else unc for i in range(width)]
+    zeros = [0 if d >> i & 1 else unc for i in range(max(1, d.bit_length()))]
+    tops = range(1, len(zeros))
     for lost in forbidden:
-        for i, z in enumerate(zeros):
+        i = 0
+        while lost:
+            z = zeros[i]
             zeros[i] = z ^ lost
             lost &= z
+            i += 1
     edges = g.edges
     balls = g.edge_balls(0)
     used = [0] * g.n
@@ -127,13 +137,13 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
     H = None  # the item state, built at the first dead end
 
     # one frame per colored edge, pushed when its color is assigned: (edge,
-    # colors not yet tried, its color's bit, that color's avail and the planes
-    # before, and that color's H before once H is built, else None)
+    # colors not yet tried, its color's bit, the edges it took out of that
+    # color's avail, and that color's H before once H is built, else None)
     stack: list[tuple] = []
     while unc:
         pick = unc
-        for z in zeros[1:]:
-            pick &= z  # the uncolored edges with at most one color left
+        for i in tops:
+            pick &= zeros[i]  # the uncolored edges with at most one color left
         if pick:
             pick &= -pick
             e = pick.bit_length() - 1
@@ -173,12 +183,17 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
             while True:
                 if not stack:
                     return OracleResult(False, None, nodes, item_forced, item_dead_ends)
-                e, mask, bit, before, zeros, before_h = stack.pop()
+                e, mask, bit, lost, before_h = stack.pop()
                 u, v = edges[e]
-                used[u] &= ~bit
-                used[v] &= ~bit
+                used[u] ^= bit
+                used[v] ^= bit
                 c = bit.bit_length() - 1
-                avail[c] = before
+                avail[c] |= lost
+                i = 0
+                while lost:  # add lost back: a carry chain
+                    zeros[i] = z = zeros[i] ^ lost
+                    lost &= z  # carry where the count's bit was set, now clear
+                    i += 1
                 if H is not None:
                     H[c] = before_h
                     uh ^= partner[u] & partner[v]
@@ -199,28 +214,28 @@ def oracle_avoidable(g: Graph, d: int, L: ListAssignment,
         nodes += 1
         if nodes > limit:
             raise OracleBudgetExceeded(nodes)
-        c = bit.bit_length()
-        before = avail[c - 1]
+        c = bit.bit_length() - 1
+        lost = avail[c] & (balls[u] | balls[v])
+        avail[c] ^= lost
         if H is None:
-            stack.append((e, mask ^ bit, bit, before, zeros, None))
+            stack.append((e, mask ^ bit, bit, lost, None))
         else:
-            before_h = H[c - 1]
-            stack.append((e, mask ^ bit, bit, before, zeros, before_h))
-            H[c - 1] = before_h & ~(partner[u] | partner[v])
+            before_h = H[c]
+            stack.append((e, mask ^ bit, bit, lost, before_h))
+            H[c] = before_h & ~(partner[u] | partner[v])
             halves = partner[u] & partner[v]
             uh ^= halves
             removed |= halves
             stale |= bit
-        assignment[e] = c
+        assignment[e] = c + 1
         used[u] |= bit
         used[v] |= bit
-        lost = before & (balls[u] | balls[v])
-        avail[c - 1] = before ^ lost
-        counted = []
-        for z in zeros:
-            counted.append(z ^ lost)
+        i = 0
+        while lost:  # subtract lost: a borrow chain
+            z = zeros[i]
+            zeros[i] = z ^ lost
             lost &= z
-        zeros = counted
+            i += 1
     return OracleResult(True, EdgeColoring(tuple(assignment), d), nodes,
                         item_forced, item_dead_ends)
 
@@ -239,13 +254,13 @@ def _build_items(g: Graph, d: int, L: ListAssignment,
         for c in colors:
             if 1 <= c <= d:
                 H[c - 1] &= ~halves
-    for i, (e, rest, bit, before, zeros, _) in enumerate(stack):
+    for i, (e, rest, bit, lost, _) in enumerate(stack):
         u, v = edges[e]
         c = bit.bit_length() - 1
         before_h = H[c]
         H[c] = before_h & ~(partner[u] | partner[v])
         uh ^= partner[u] & partner[v]
-        stack[i] = (e, rest, bit, before, zeros, before_h)
+        stack[i] = (e, rest, bit, lost, before_h)
     return H, uh
 
 

@@ -432,8 +432,8 @@ def test_oracle_budget_on_q8_is_undecided_not_a_crash(tmp_path, capsys):
 def test_oracle_reports_the_frame_byte_cap(tmp_path, capsys, monkeypatch):
     f = str(tmp_path / "q3.json")
     run(capsys, "construct", "--family", "hypercube", "--d", "3", "--out", f)
-    # Q3's frames need 12 * (12 * 3 + 8 * 4) / 8 = 102 bytes
-    monkeypatch.setattr(dg.graph_core, "EDGE_BALL_BYTES_CAP", 53)
+    # Q3's frames need 12 * (12 + 8 * 4) / 8 = 66 bytes
+    monkeypatch.setattr(dg.oracle, "FRAME_BYTES_CAP", 53)
     code, out, err = run(capsys, "oracle", f)
     assert code == 2
     assert err.startswith("error:") and "above cap 53" in err

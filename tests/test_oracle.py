@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -288,12 +289,17 @@ DIFFERENTIAL_CASES = [
 
 
 def differential_lists(g, d, cg, kind, seed):
-    """Distance-2 lists where the graph is colored for d, else random lists
-    with, by kind, colors outside 1..d added to a few lists, or a few edges
-    that forbid every color among lists of up to d - 1 colors, so that
-    edges with one color left come before them."""
-    if kind == "distance2" and cg is not None and cg.d == d:
-        return dg.generate_distance2(cg, seed, cg.s_measured - 1)
+    """Distance-2 lists, or maximal sparse lists at B = 2 (about a third of
+    them unavoidable on K4,4 and Q4, so searches that refute every branch),
+    where the graph is colored for d, else random lists with, by kind,
+    colors outside 1..d added to a few lists, or a few edges that forbid
+    every color among lists of up to d - 1 colors, so that edges with one
+    color left come before them."""
+    if cg is not None and cg.d == d:
+        if kind == "distance2":
+            return dg.generate_distance2(cg, seed, cg.s_measured - 1)
+        if kind == "sparse":
+            return dg.generate_sparse(cg, Fraction(2, cg.s_measured), seed)
     size = max(2, d - 1) if kind == "every" else 2
     raw = {e: set(colors) for e, colors in random_lists(g, d, seed, size).items()}
     rng = random.Random(seed)
@@ -321,7 +327,7 @@ def same_search(g, d, L, limit):
 
 @settings(deadline=None, max_examples=80)
 @given(st.integers(min_value=0, max_value=len(DIFFERENTIAL_CASES) - 1), st.booleans(),
-       st.sampled_from(("random", "distance2", "every", "outside")),
+       st.sampled_from(("random", "distance2", "sparse", "every", "outside")),
        st.integers(min_value=0, max_value=10 ** 6))
 def test_node_step_repeats_the_item_search(index, above, kind, seed):
     # the same nodes, counters, witness and budget point as the reference,
@@ -367,18 +373,18 @@ def test_oracle_ignores_colors_outside_the_palette(q3):
 
 def frame_bytes(m, d):
     """The oracle's worst-case frame bytes on a d-regular graph with m edges:
-    m frames of P + 1 edge masks and one mask of n = 2m / d fields of d + 1
-    bits, P = max(1, d.bit_length())."""
-    return m * (m * (max(1, d.bit_length()) + 1) + 2 * m * (d + 1) // d) // 8
+    m frames of one edge mask and one mask of n = 2m / d fields of d + 1
+    bits."""
+    return m * (m + 2 * m * (d + 1) // d) // 8
 
 
 def test_oracle_refuses_frames_above_the_byte_cap_before_any_node(q3, monkeypatch):
     size = frame_bytes(q3.graph.m, 3)
-    monkeypatch.setattr(dg.graph_core, "EDGE_BALL_BYTES_CAP", size - 1)
+    monkeypatch.setattr(dg.oracle, "FRAME_BYTES_CAP", size - 1)
     # limit=0 would raise OracleBudgetExceeded at the first node explored
     with pytest.raises(dg.ResourceLimit, match="oracle frames"):
         dg.oracle_avoidable(q3.graph, 3, dg.EMPTY, limit=0)
-    monkeypatch.setattr(dg.graph_core, "EDGE_BALL_BYTES_CAP", size)
+    monkeypatch.setattr(dg.oracle, "FRAME_BYTES_CAP", size)
     assert dg.oracle_avoidable(q3.graph, 3, dg.EMPTY).avoidable
 
 
@@ -388,16 +394,36 @@ def cube_graph(k):
                                         for i in range(k) if not v >> i & 1])
 
 
-def test_oracle_byte_cap_admits_q11_and_refuses_q12():
-    cap = dg.graph_core.EDGE_BALL_BYTES_CAP
-    for k, refused in ((11, False), (12, True)):
+def test_oracle_byte_cap_admits_q12_and_refuses_q13():
+    cap = dg.oracle.FRAME_BYTES_CAP
+    for k, refused in ((11, False), (12, False), (13, True)):
         g = cube_graph(k)
         assert (frame_bytes(g.m, k) > cap) == refused
         with pytest.raises(dg.ResourceLimit if refused else dg.OracleBudgetExceeded):
             dg.oracle_avoidable(g, k, dg.EMPTY, limit=0)
     k128 = dg.Graph.from_edges(256, [(u, v) for u in range(128) for v in range(128, 256)])
-    with pytest.raises(dg.ResourceLimit):
+    assert frame_bytes(k128.m, 128) <= cap
+    with pytest.raises(dg.OracleBudgetExceeded):
         dg.oracle_avoidable(k128, 128, dg.EMPTY, limit=0)
+
+
+def test_oracle_frames_keep_one_edge_mask_per_node():
+    # a frame keeps one m-bit mask, the edges its node took out of one
+    # color's avail (and H[c] once the items are armed), so the peak stays
+    # near the depth times those masks
+    for cg, nodes in ((dg.hypercube(8), 1234), (dg.complete_bipartite_pow2(5), 1039)):
+        g = cg.graph
+        L = dg.generate_distance2(cg, 0, cg.s_measured - 1)
+        g.half_edge_layout(), g.edge_balls(0), g.max_degree  # kept by the graph: build untraced
+        tracemalloc.start()
+        try:
+            res = dg.oracle_avoidable(g, cg.d, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.nodes_explored == nodes
+        assert res.avoidable and dg.verify_solution(cg, res.witness, L)
+        assert peak < 0.9 * 2**20
 
 
 def test_oracle_byte_cap_admits_the_benchmark_shapes():
